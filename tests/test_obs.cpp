@@ -19,7 +19,7 @@
 #include "obs/she_metrics.hpp"
 #include "runtime/runtime_stats.hpp"
 #include "she/monitor.hpp"
-#include "she/she_bloom.hpp"
+#include "she/she.hpp"
 #include <gtest/gtest.h>
 
 namespace she::obs {
@@ -363,6 +363,158 @@ TEST(EnabledGate, SheInstrumentationFrozenWhenDisabled) {
                         she_metrics().query_cells_perfect.value() +
                         she_metrics().query_cells_aged.value();
   EXPECT_GT(cells, 0u);
+  default_registry().reset();
+}
+
+// --------------------------- SHE call telemetry -----------------------------
+//
+// Exact per-call deltas of she_hash_calls_total, she_query_cells_total
+// {age_class} and she_cm_all_young_queries_total for every public insert and
+// query entry point of the five estimators, including the accounting quirks
+// operators read dashboards against:
+//   * SHE-BF contains() charges i + 1 hash calls when probe i proves absence;
+//   * SHE-CM frequency() charges 2k (its telemetry pass re-hashes);
+//   * batched inserts and queries charge exactly k per key.
+
+struct SheDelta {
+  std::uint64_t hash = 0, young = 0, perfect = 0, aged = 0, all_young = 0;
+  bool operator==(const SheDelta&) const = default;
+};
+
+std::ostream& operator<<(std::ostream& os, const SheDelta& d) {
+  return os << "{" << d.hash << ", " << d.young << ", " << d.perfect << ", "
+            << d.aged << ", " << d.all_young << "}";
+}
+
+SheDelta she_counters() {
+  const SheMetrics& m = she_metrics();
+  return {m.hash_calls.value(), m.query_cells_young.value(),
+          m.query_cells_perfect.value(), m.query_cells_aged.value(),
+          m.cm_all_young_queries.value()};
+}
+
+template <typename Fn>
+SheDelta delta_of(Fn&& fn) {
+  const SheDelta a = she_counters();
+  fn();
+  const SheDelta b = she_counters();
+  return {b.hash - a.hash, b.young - a.young, b.perfect - a.perfect,
+          b.aged - a.aged, b.all_young - a.all_young};
+}
+
+TEST(SheTelemetry, ExactDeltasForEveryPublicCall) {
+  set_enabled(true);
+  default_registry().reset();
+  SheConfig cfg;
+  cfg.window = 100;
+  cfg.cells = 1009;
+  cfg.group_cells = 16;
+  cfg.alpha = 0.2;
+  cfg.seed = 3;
+  SheConfig unit = cfg;  // SHE-HLL / SHE-MH: one cell per group
+  unit.cells = 61;
+  unit.group_cells = 1;
+
+  SheBloomFilter bf(cfg, 4);
+  SheCountMin cm(cfg, 3);
+  SheBitmap bm(cfg);
+  SheHyperLogLog hll(unit);
+  SheMinHash mh(unit), mh2(unit);
+  for (std::uint64_t i = 0; i < 260; ++i) {
+    const std::uint64_t k = i * 2654435761u % 97;
+    bf.insert(k);
+    cm.insert(k);
+    bm.insert(k);
+    hll.insert(k);
+    mh.insert(k);
+    mh2.insert(k ^ (i % 3));
+  }
+  std::vector<std::uint64_t> keys(10), times(10);
+  for (std::size_t i = 0; i < keys.size(); ++i) keys[i] = 7 * i + 1;
+  const std::span<const std::uint64_t> ks(keys);
+  const std::uint64_t windows[] = {10, 60, 100};
+  const std::uint64_t probes[] = {1, 8, 5000001, 5000002, 5000003,
+                                  5000004, 5000005, 5000006};
+  auto stamp = [&](std::uint64_t t0) {
+    for (std::size_t i = 0; i < times.size(); ++i) times[i] = t0 + 3 * i;
+    return std::span<const std::uint64_t>(times);
+  };
+#define SHE_EXPECT_DELTA(call, ...) \
+  EXPECT_EQ(delta_of([&] { call; }), (SheDelta{__VA_ARGS__})) << #call
+
+  // Inserts: k hash calls per key on every path (HLL: 2, MH: one per slot).
+  SHE_EXPECT_DELTA(bf.insert(42), 4, 0, 0, 0, 0);
+  SHE_EXPECT_DELTA(bf.insert_at(43, bf.time() + 2), 4, 0, 0, 0, 0);
+  SHE_EXPECT_DELTA(bf.insert_batch(ks), 40, 0, 0, 0, 0);
+  SHE_EXPECT_DELTA(bf.insert_at_batch(ks, stamp(bf.time() + 1)), 40, 0, 0, 0, 0);
+  SHE_EXPECT_DELTA(cm.insert(42), 3, 0, 0, 0, 0);
+  SHE_EXPECT_DELTA(cm.insert_at(43, cm.time() + 2), 3, 0, 0, 0, 0);
+  SHE_EXPECT_DELTA(cm.insert_batch(ks), 30, 0, 0, 0, 0);
+  SHE_EXPECT_DELTA(cm.insert_at_batch(ks, stamp(cm.time() + 1)), 30, 0, 0, 0, 0);
+  SHE_EXPECT_DELTA(bm.insert(42), 1, 0, 0, 0, 0);
+  SHE_EXPECT_DELTA(bm.insert_at(43, bm.time() + 2), 1, 0, 0, 0, 0);
+  SHE_EXPECT_DELTA(bm.insert_batch(ks), 10, 0, 0, 0, 0);
+  SHE_EXPECT_DELTA(bm.insert_at_batch(ks, stamp(bm.time() + 1)), 10, 0, 0, 0, 0);
+  SHE_EXPECT_DELTA(hll.insert(42), 2, 0, 0, 0, 0);
+  SHE_EXPECT_DELTA(hll.insert_at(43, hll.time() + 2), 2, 0, 0, 0, 0);
+  SHE_EXPECT_DELTA(hll.insert_batch(ks), 20, 0, 0, 0, 0);
+  SHE_EXPECT_DELTA(hll.insert_at_batch(ks, stamp(hll.time() + 1)), 20, 0, 0, 0, 0);
+  SHE_EXPECT_DELTA(mh.insert(42), 61, 0, 0, 0, 0);
+  SHE_EXPECT_DELTA(mh.insert_at(43, mh.time() + 2), 61, 0, 0, 0, 0);
+  SHE_EXPECT_DELTA(mh.insert_batch(ks), 610, 0, 0, 0, 0);
+  SHE_EXPECT_DELTA(mh.insert_at_batch(ks, stamp(mh.time() + 1)), 610, 0, 0, 0, 0);
+  SHE_EXPECT_DELTA(mh2.insert_batch(ks), 610, 0, 0, 0, 0);
+  mh2.advance_to(mh.time());
+  SHE_EXPECT_DELTA(bf.advance_to(bf.time() + 5), 0, 0, 0, 0, 0);
+
+  // Point queries, one per probe key (recorded per key: the BF early exit
+  // and the CM all-young fallback depend on the probed cells), then the
+  // batched forms.
+  const SheDelta want_bf[8] = {
+      {4, 0, 1, 3, 0}, {4, 3, 0, 1, 0}, {4, 3, 0, 1, 0}, {4, 4, 0, 0, 0},
+      {2, 1, 0, 1, 0}, {4, 4, 0, 0, 0}, {3, 2, 0, 1, 0}, {4, 4, 0, 0, 0}};
+  const SheDelta want_bf40[8] = {
+      {4, 0, 0, 4, 0}, {4, 1, 0, 3, 0}, {1, 0, 0, 1, 0}, {1, 0, 0, 1, 0},
+      {2, 1, 0, 1, 0}, {2, 1, 0, 1, 0}, {1, 0, 1, 0, 0}, {2, 1, 0, 1, 0}};
+  const SheDelta want_cm[8] = {
+      {6, 1, 0, 2, 0}, {6, 3, 0, 0, 1}, {6, 2, 0, 1, 0}, {6, 3, 0, 0, 1},
+      {6, 1, 0, 2, 0}, {6, 3, 0, 0, 1}, {6, 2, 0, 1, 0}, {6, 2, 0, 1, 0}};
+  const SheDelta want_cm40[8] = {
+      {6, 0, 0, 3, 0}, {6, 1, 0, 2, 0}, {6, 0, 0, 3, 0}, {6, 1, 0, 2, 0},
+      {6, 1, 0, 2, 0}, {6, 2, 0, 1, 0}, {6, 2, 0, 1, 0}, {6, 1, 0, 2, 0}};
+  for (std::size_t i = 0; i < 8; ++i) {
+    const std::uint64_t p = probes[i];
+    EXPECT_EQ(delta_of([&] { (void)bf.contains(p); }), want_bf[i])
+        << "bf.contains(" << p << ")";
+    EXPECT_EQ(delta_of([&] { (void)bf.contains(p, 40); }), want_bf40[i])
+        << "bf.contains(" << p << ", 40)";
+    EXPECT_EQ(delta_of([&] { (void)cm.frequency(p); }), want_cm[i])
+        << "cm.frequency(" << p << ")";
+    EXPECT_EQ(delta_of([&] { (void)cm.frequency(p, 40); }), want_cm40[i])
+        << "cm.frequency(" << p << ", 40)";
+  }
+  std::uint8_t present[8];
+  std::uint64_t freq[8];
+  SHE_EXPECT_DELTA(bf.contains_batch(probes, present), 32, 21, 1, 7, 0);
+  SHE_EXPECT_DELTA(bf.contains_batch(probes, present, 40), 32, 4, 1, 12, 0);
+  SHE_EXPECT_DELTA(cm.frequency_batch(probes, freq), 24, 17, 0, 7, 3);
+  SHE_EXPECT_DELTA(cm.frequency_batch(probes, freq, 40), 24, 8, 0, 16, 0);
+
+  // Window scans classify every group once per queried window.
+  SHE_EXPECT_DELTA((void)bm.cardinality(), 0, 54, 0, 10, 0);
+  SHE_EXPECT_DELTA((void)bm.cardinality(40), 0, 22, 0, 42, 0);
+  SHE_EXPECT_DELTA((void)bm.cardinality_batch(windows), 0, 92, 1, 99, 0);
+  SHE_EXPECT_DELTA((void)bm.legal_groups(), 0, 0, 0, 0, 0);
+  SHE_EXPECT_DELTA((void)hll.cardinality(), 0, 51, 0, 10, 0);
+  SHE_EXPECT_DELTA((void)hll.cardinality(40), 0, 20, 1, 40, 0);
+  SHE_EXPECT_DELTA((void)hll.cardinality_batch(windows), 0, 86, 2, 95, 0);
+  SHE_EXPECT_DELTA((void)hll.legal_groups(), 0, 0, 0, 0, 0);
+  SHE_EXPECT_DELTA((void)SheMinHash::jaccard(mh, mh2), 0, 51, 0, 10, 0);
+  SHE_EXPECT_DELTA((void)SheMinHash::jaccard(mh, mh2, 40), 0, 20, 1, 40, 0);
+  SHE_EXPECT_DELTA((void)SheMinHash::jaccard_batch(mh, mh2, windows), 0, 86,
+                   2, 95, 0);
+#undef SHE_EXPECT_DELTA
+  set_enabled(false);
   default_registry().reset();
 }
 
