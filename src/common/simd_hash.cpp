@@ -354,6 +354,10 @@ void bobhash32_seeds(std::uint64_t key, std::uint32_t seed0, std::size_t n,
 void bobhash32_keys_multi(const std::uint64_t* keys, std::size_t n,
                           std::uint32_t seed0, unsigned k,
                           std::uint32_t* out) noexcept {
+  if (k == 1) {  // one probe per key: vectorize over keys, not seeds
+    bobhash32_keys(keys, n, seed0, out);
+    return;
+  }
   switch (active_isa()) {
 #if defined(__x86_64__) && (defined(__GNUC__) || defined(__clang__))
     case Isa::kAvx2:

@@ -1,20 +1,21 @@
 // Shared pieces of the SIMD stage-1 front-end (see docs/INTERNALS.md §13).
 //
-// Each estimator keeps two insert-batch bodies:
+// SheEngine (she/engine.hpp) has two batch-insert bodies, each written once
+// for all five estimators:
 //
-//   * the scalar reference path — the PR-3 pipelined() loops, unchanged,
-//     taken under SHE_FORCE_SCALAR or on hardware without vector dispatch;
-//   * the SIMD path — pipelined_blocks() with a lane-parallel stage 1 that
-//     hashes the whole block per probe (simd::bobhash32_keys), reduces
-//     positions with division-free FastDiv32, and precomputes GroupClock
-//     marks (stage_marks_ramp) so stage 2 never divides.
+//   * the scalar reference loop, taken under SHE_FORCE_SCALAR, on hardware
+//     without vector dispatch, and for shapes the block path does not take;
+//   * the block path, where a policy's stage-1 kernel hashes the whole
+//     block lane-parallel (simd::bobhash32_keys*), reduces positions with
+//     division-free FastDiv32, and precomputes GroupClock marks through
+//     MarkStager below so stage 2 never divides.
 //
-// Stage 2 is the same scalar CheckGroup + F loop in both paths, so the two
-// are bit-identical; tests/test_simd.cpp drives them differentially.
+// Stage 2 is the same CheckGroup + F loop in both, so the two are
+// bit-identical; tests/test_simd.cpp drives them differentially.
 //
-// This header carries the parts every estimator shares: eligibility,
-// timestamp validation for the batched insert_at, and the per-block mark
-// stager that handles implicit (+1/key) and explicit timestamps.
+// This header carries block-path eligibility, timestamp validation for the
+// batched insert_at, and the per-block mark stager that handles implicit
+// (+1/key) and explicit timestamps.
 #pragma once
 
 #include <cstdint>
@@ -39,7 +40,7 @@ namespace she::batch {
          cells <= std::size_t{0xFFFFFFFFu};
 }
 
-/// insert_at_batch argument validation, shared by all five estimators:
+/// insert_at_batch argument validation:
 /// per-key timestamps must pair 1:1 with keys and never move backwards
 /// (same contract, and same message, as scalar insert_at).  Validated up
 /// front so the batch pipeline can assign times without re-checking.
@@ -96,10 +97,14 @@ class MarkStager {
   }
 
   /// Key-major, k probes per key: curs[b * k + h] = current mark of
-  /// gids[b * k + h] at key b's time.  The fused BF/CM stage calls this once
-  /// per block instead of once per probe.
+  /// gids[b * k + h] at key b's time.  The fused hashed-probe stage calls
+  /// this once per block instead of once per probe.
   void stage_rep(std::size_t begin, std::size_t n, unsigned k,
                  const std::uint32_t* gids, std::uint32_t* curs) const {
+    if (k == 1) {  // one probe per key: the ramp kernel vectorizes over keys
+      stage(begin, n, gids, curs);
+      return;
+    }
     if (times_ == nullptr) {
       GroupClock::TimeParts p = clock_.split(t0_ + begin + 1);
       if (p.rem + static_cast<std::int64_t>(n) <=

@@ -13,13 +13,14 @@
 //     lazy group cleaning on insert, age-classified cell views for queries;
 //   * the five paper policies (Bloom filter, Bitmap, HyperLogLog,
 //     Count-Min, MinHash) plus their query functions, answer-equivalent to
-//     the hand-specialized classes in she_*.hpp (tested);
+//     the production estimators in she_*.hpp (tested);
 //   * room for user-defined policies: any type modelling `CsmPolicy` gets
 //     sliding-window behaviour for free (see examples/custom_sketch.cpp).
 //
-// The specialized classes remain the recommended API for the five standard
-// tasks (they use packed cell storage); this layer is the extension point
-// and the executable specification.
+// The production estimators (SheEngine policies, she/engine.hpp) remain the
+// recommended API for the five standard tasks (packed cell storage, the
+// batched and SIMD paths); this layer is the extension point and the
+// executable specification.
 #pragma once
 
 #include <concepts>

@@ -12,40 +12,20 @@
 #include <span>
 #include <vector>
 
-#include "common/bit_array.hpp"
-#include "common/bobhash.hpp"
-#include "she/batch.hpp"
-#include "she/config.hpp"
-#include "she/group_clock.hpp"
+#include "she/engine.hpp"
 
 namespace she {
 
-class SheBitmap {
+/// <bit, K = 1, set>.
+struct BitmapPolicy : HashedProbes, BitCells {
+  static constexpr char kName[] = "SheBitmap";
+  static constexpr char kTag[] = "SHBM";
+};
+
+/// Inserts, clear, time, config, memory_bytes and save come from SheEngine.
+class SheBitmap : public SheEngine<BitmapPolicy> {
  public:
-  explicit SheBitmap(const SheConfig& cfg);
-
-  /// Insert one item; advances the stream clock by one.
-  void insert(std::uint64_t key);
-
-  /// Insert a batch (bit-for-bit equivalent to insert() per key, in
-  /// order) via the generic she::batch pipeline: the single hashed bit and
-  /// its group mark are prefetched a block ahead.
-  void insert_batch(std::span<const std::uint64_t> keys);
-
-  /// Time-based windows: insert at explicit timestamp `t` (monotone
-  /// non-decreasing; throws std::invalid_argument if it moves backwards).
-  /// With insert_at, `window` counts time units instead of items.
-  void insert_at(std::uint64_t key, std::uint64_t t);
-
-  /// Batched insert_at: key[i] inserted at times[i] (monotone
-  /// non-decreasing, validated up front; throws like insert_at).  Runs the
-  /// same batch/SIMD pipeline as insert_batch.
-  void insert_at_batch(std::span<const std::uint64_t> keys,
-                       std::span<const std::uint64_t> times);
-
-  /// Advance the clock to `t` without inserting, so queries reflect the
-  /// window (t - N, t] even during arrival gaps.
-  void advance_to(std::uint64_t t);
+  explicit SheBitmap(const SheConfig& cfg) : SheEngine(cfg) {}
 
   /// Estimated number of distinct items in the last-N window (paper
   /// estimator: legal ages [beta*N, Tcycle)).
@@ -66,36 +46,12 @@ class SheBitmap {
 
   /// Number of groups currently in the legal age range (diagnostic; the
   /// variance analysis of Sec. 5.3 depends on it).
-  [[nodiscard]] std::size_t legal_groups() const;
+  using SheEngine::legal_groups;
 
-  void clear();
-
-  [[nodiscard]] std::uint64_t time() const { return time_; }
-  [[nodiscard]] const SheConfig& config() const { return cfg_; }
-  [[nodiscard]] std::size_t memory_bytes() const {
-    return bits_.memory_bytes() + clock_.memory_bytes();
-  }
-
-  /// Checkpoint the full sliding-window state; load() resumes with
-  /// identical answers.
-  void save(BinaryWriter& out) const;
-  static SheBitmap load(BinaryReader& in);
+  static SheBitmap load(BinaryReader& in) { return load_as<SheBitmap>(in); }
 
  private:
-  [[nodiscard]] bool legal_age(std::uint64_t age) const;
-
-  SheConfig cfg_;
-  GroupClock clock_;
-  BitArray bits_;
-  std::uint64_t time_ = 0;
-  // Shared batch-insert core: times == nullptr means +1 per key.  Picks the
-  // SIMD or scalar-reference stage 1; stage 2 is identical either way.
-  void insert_many(std::span<const std::uint64_t> keys,
-                   const std::uint64_t* times);
-  void insert_many_simd(std::span<const std::uint64_t> keys,
-                        const std::uint64_t* times);
-
-  std::vector<batch::Slot> scratch_;  // insert_batch staging (not state)
+  std::vector<double> estimate(std::span<const Band> bands) const;
 };
 
 }  // namespace she

@@ -1,259 +1,18 @@
 #include "she/she_bloom.hpp"
 
-#include <stdexcept>
-
-#include "obs/she_metrics.hpp"
-#include "she/batch_simd.hpp"
-
 namespace she {
 
-SheBloomFilter::SheBloomFilter(const SheConfig& cfg, unsigned hashes)
-    : cfg_(cfg),
-      hashes_(hashes),
-      clock_(cfg.groups(), cfg.tcycle(), cfg.mark_bits),
-      bits_(cfg.cells) {
-  cfg_.validate();
-  if (hashes == 0) throw std::invalid_argument("SheBloomFilter: hashes must be > 0");
-}
-
-void SheBloomFilter::insert(std::uint64_t key) { insert_at(key, time_ + 1); }
-
-void SheBloomFilter::advance_to(std::uint64_t t) {
-  if (t < time_)
-    throw std::invalid_argument("SheBloomFilter: time must not move backwards");
-  time_ = t;
-}
-
-void SheBloomFilter::insert_at(std::uint64_t key, std::uint64_t t) {
-  advance_to(t);
-  for (unsigned i = 0; i < hashes_; ++i) {
-    std::size_t pos = position(key, i);
-    std::size_t gid = pos / cfg_.group_cells;
-    if (clock_.touch(gid, time_)) {
-      std::size_t first = gid * cfg_.group_cells;
-      std::size_t count = std::min(cfg_.group_cells, cfg_.cells - first);
-      bits_.clear_range(first, count);
-    }
-    bits_.set(pos);
-  }
-  if (obs::enabled()) obs::she_metrics().hash_calls.inc(hashes_);
-}
-
-void SheBloomFilter::insert_batch(std::span<const std::uint64_t> keys) {
-  insert_many(keys, nullptr);
-  // One increment for the whole batch: the tail runs through the same
-  // staged pipeline, so accounting is uniform (k hashes per key, exactly).
-  if (obs::enabled())
-    obs::she_metrics().hash_calls.inc(
-        static_cast<std::uint64_t>(keys.size()) * hashes_);
-}
-
-void SheBloomFilter::insert_at_batch(std::span<const std::uint64_t> keys,
-                                     std::span<const std::uint64_t> times) {
-  batch::validate_insert_times(keys, times, time_, "SheBloomFilter");
-  insert_many(keys, times.data());
-  if (obs::enabled())
-    obs::she_metrics().hash_calls.inc(
-        static_cast<std::uint64_t>(keys.size()) * hashes_);
-}
-
-void SheBloomFilter::insert_many(std::span<const std::uint64_t> keys,
-                                 const std::uint64_t* times) {
-  // The fused stage buffers hold one block of n * k slots; block_keys()
-  // bounds that by kSlotBudget whenever k itself fits the budget.
-  if (batch::simd_eligible(cfg_.cells) && hashes_ <= batch::kSlotBudget) {
-    insert_many_simd(keys, times);
-    return;
-  }
-  // Scalar reference path (also the SHE_FORCE_SCALAR path).
-  // Cache-resident arrays are not worth prefetching (batch.hpp).
-  const bool warm_bits = bits_.memory_bytes() >= batch::kPrefetchFootprint;
-  const bool warm_marks = clock_.memory_bytes() >= batch::kPrefetchFootprint;
-  std::size_t idx = 0;
-  batch::pipelined(
-      keys, hashes_, scratch_,
-      [this](std::uint64_t key, unsigned h) {
-        return batch::Slot{position(key, h), 0};
-      },
-      [this, warm_bits, warm_marks](const batch::Slot& s) {
-        if (warm_bits) bits_.prefetch(s.pos, true);
-        if (warm_marks) clock_.prefetch(s.pos / cfg_.group_cells, true);
-      },
-      [this, times, &idx] {
-        if (times != nullptr)
-          time_ = times[idx++];
-        else
-          ++time_;
-      },
-      [this](std::uint64_t, unsigned, const batch::Slot& s) {
-        std::size_t gid = s.pos / cfg_.group_cells;
-        if (clock_.touch(gid, time_)) {
-          std::size_t first = gid * cfg_.group_cells;
-          std::size_t count = std::min(cfg_.group_cells, cfg_.cells - first);
-          bits_.clear_range(first, count);
-        }
-        bits_.set(s.pos);
-      });
-}
-
-void SheBloomFilter::insert_many_simd(std::span<const std::uint64_t> keys,
-                                      const std::uint64_t* times) {
-  const bool warm_bits = bits_.memory_bytes() >= batch::kPrefetchFootprint;
-  const bool warm_marks = clock_.memory_bytes() >= batch::kPrefetchFootprint;
-  const FastDiv32 mod_cells(static_cast<std::uint32_t>(cfg_.cells));
-  const FastDiv32 div_group(static_cast<std::uint32_t>(cfg_.group_cells));
-  const batch::MarkStager stager(clock_, time_, times);
-  std::size_t idx = 0;
-  batch::pipelined_blocks(
-      keys, hashes_, scratch_,
-      // Stage 1, fused: one hash sweep, one position/group reduction and one
-      // mark staging call over the whole key-major block (m = n * k slots),
-      // then a single sequential write pass.  aux = cur << 32 | gid.
-      [&](std::size_t begin, std::size_t n, batch::Slot* out) {
-        std::uint32_t h32[batch::kSlotBudget];
-        std::uint32_t pos[batch::kSlotBudget];
-        std::uint32_t gid[batch::kSlotBudget];
-        std::uint32_t cur[batch::kSlotBudget];
-        const std::size_t m = n * hashes_;
-        simd::bobhash32_keys_multi(keys.data() + begin, n, cfg_.seed, hashes_,
-                                   h32);
-        simd::positions_groups(h32, m, mod_cells, div_group, pos, gid);
-        stager.stage_rep(begin, n, hashes_, gid, cur);
-        for (std::size_t s = 0; s < m; ++s) {
-          out[s].pos = pos[s];
-          out[s].aux = (std::uint64_t{cur[s]} << 32) | gid[s];
-          if (warm_bits) bits_.prefetch(pos[s], true);
-          if (warm_marks) clock_.prefetch(gid[s], true);
-        }
-      },
-      [this, times, &idx] {
-        if (times != nullptr)
-          time_ = times[idx++];
-        else
-          ++time_;
-      },
-      // Stage 2: the scalar CheckGroup + set, against the staged mark.
-      [this](std::uint64_t, unsigned, const batch::Slot& s) {
-        const std::size_t gid = s.aux & 0xFFFFFFFFu;
-        if (clock_.touch_precomputed(gid, s.aux >> 32)) {
-          std::size_t first = gid * cfg_.group_cells;
-          std::size_t count = std::min(cfg_.group_cells, cfg_.cells - first);
-          bits_.clear_range(first, count);
-        }
-        bits_.set(s.pos);
-      });
-}
-
-void SheBloomFilter::contains_batch(std::span<const std::uint64_t> keys,
-                                    std::span<std::uint8_t> out,
-                                    std::uint64_t window) const {
-  if (window == 0 || window > cfg_.window)
-    throw std::invalid_argument("SheBloomFilter: query window must be in [1, N]");
-  if (out.size() < keys.size())
-    throw std::invalid_argument("SheBloomFilter: contains_batch output too small");
-  const bool track = obs::enabled();
-  // Local scratch keeps this const path thread-safe on shared readers; one
-  // allocation per batch call is noise against the per-key work.
-  std::vector<batch::Slot> scratch;
-  const bool warm_bits = bits_.memory_bytes() >= batch::kPrefetchFootprint;
-  const bool warm_marks = clock_.memory_bytes() >= batch::kPrefetchFootprint;
-  if (batch::simd_eligible(cfg_.cells) && hashes_ <= batch::kSlotBudget) {
-    // SIMD stage 1: hash sweeps + staged ages and staleness at the (fixed)
-    // query time; aux = age << 1 | stale.  Evaluation below replays the
-    // exact scalar probe logic against the staged values.
-    const FastDiv32 mod_cells(static_cast<std::uint32_t>(cfg_.cells));
-    const FastDiv32 div_group(static_cast<std::uint32_t>(cfg_.group_cells));
-    const GroupClock::TimeParts now = clock_.split(time_);
-    batch::pipelined_query_blocks(
-        keys, hashes_, scratch,
-        [&](std::size_t begin, std::size_t n, batch::Slot* slots) {
-          std::uint32_t h32[batch::kSlotBudget];
-          std::uint32_t pos[batch::kSlotBudget];
-          std::uint32_t gid[batch::kSlotBudget];
-          std::uint32_t cur[batch::kSlotBudget];
-          std::uint64_t age[batch::kSlotBudget];
-          const std::size_t m = n * hashes_;
-          // The query time is fixed, so the key-major slots stage flat.
-          simd::bobhash32_keys_multi(keys.data() + begin, n, cfg_.seed,
-                                     hashes_, h32);
-          simd::positions_groups(h32, m, mod_cells, div_group, pos, gid);
-          clock_.stage_marks(gid, m, now, cur, age);
-          for (std::size_t s = 0; s < m; ++s) {
-            const std::uint64_t stale =
-                clock_.stored_mark(gid[s]) != cur[s] ? 1 : 0;
-            slots[s].pos = pos[s];
-            slots[s].aux = (age[s] << 1) | stale;
-            if (warm_bits) bits_.prefetch(pos[s], false);
-            if (warm_marks) clock_.prefetch(gid[s], false);
-          }
-        },
-        [&](std::size_t i, const batch::Slot* slots) {
-          obs::AgeClassCounts cls;
-          bool present = true;
-          for (unsigned h = 0; h < hashes_; ++h) {
-            const std::uint64_t age = slots[h].aux >> 1;
-            if (track) cls.add(age, window);
-            if (age < window) continue;
-            const bool stale = (slots[h].aux & 1) != 0;
-            if (!(stale ? false : bits_.test(slots[h].pos))) {
-              present = false;
-              break;
-            }
-          }
-          out[i] = present ? 1 : 0;
-          if (track) cls.commit(true);
-        });
-    if (track)
-      obs::she_metrics().hash_calls.inc(
-          static_cast<std::uint64_t>(keys.size()) * hashes_);
-    return;
-  }
-  batch::pipelined_query(
-      keys, hashes_, scratch,
-      [this](std::uint64_t key, unsigned h) {
-        return batch::Slot{position(key, h), 0};
-      },
-      [this, warm_bits, warm_marks](const batch::Slot& s) {
-        if (warm_bits) bits_.prefetch(s.pos, false);
-        if (warm_marks) clock_.prefetch(s.pos / cfg_.group_cells, false);
-      },
-      [&](std::size_t i, const batch::Slot* slots) {
-        // Same probe-by-probe logic as scalar contains(); positions staged.
-        obs::AgeClassCounts cls;
-        bool present = true;
-        for (unsigned h = 0; h < hashes_; ++h) {
-          std::size_t pos = slots[h].pos;
-          std::size_t gid = pos / cfg_.group_cells;
-          std::uint64_t age = clock_.age(gid, time_);
-          if (track) cls.add(age, window);
-          if (age < window) continue;
-          if (!(clock_.stale(gid, time_) ? false : bits_.test(pos))) {
-            present = false;
-            break;
-          }
-        }
-        out[i] = present ? 1 : 0;
-        if (track) cls.commit(true);
-      });
-  // All probe hashes are staged up front, so the batch path charges exactly
-  // k hash calls per key regardless of early exits.
-  if (track)
-    obs::she_metrics().hash_calls.inc(
-        static_cast<std::uint64_t>(keys.size()) * hashes_);
-}
-
 bool SheBloomFilter::contains(std::uint64_t key, std::uint64_t window) const {
-  if (window == 0 || window > cfg_.window)
-    throw std::invalid_argument("SheBloomFilter: query window must be in [1, N]");
+  check_window(window);
   const bool track = obs::enabled();
   obs::AgeClassCounts cls;
-  for (unsigned i = 0; i < hashes_; ++i) {
-    std::size_t pos = position(key, i);
-    std::size_t gid = pos / cfg_.group_cells;
+  for (unsigned i = 0; i < k_; ++i) {
+    std::size_t pos = BloomPolicy::probe(cfg_, key, i).pos;
+    std::size_t gid = group_of(pos);
     std::uint64_t age = clock_.age(gid, time_);
     if (track) cls.add(age, window);
     if (age < window) continue;  // young cell: ignore (no false negatives)
-    bool bit = clock_.stale(gid, time_) ? false : bits_.test(pos);
+    bool bit = clock_.stale(gid, time_) ? false : cells_.test(pos);
     if (!bit) {  // a zero mature bit proves absence
       if (track) {
         cls.commit(true);
@@ -265,37 +24,33 @@ bool SheBloomFilter::contains(std::uint64_t key, std::uint64_t window) const {
   // All probes were young or 1: no evidence of absence.
   if (track) {
     cls.commit(true);
-    obs::she_metrics().hash_calls.inc(hashes_);
+    obs::she_metrics().hash_calls.inc(k_);
   }
   return true;
 }
 
-void SheBloomFilter::save(BinaryWriter& out) const {
-  out.tag("SHBF");
-  cfg_.save(out);
-  out.u32(hashes_);
-  out.u64(time_);
-  clock_.save(out);
-  bits_.save(out);
-}
-
-SheBloomFilter SheBloomFilter::load(BinaryReader& in) {
-  in.expect_tag("SHBF");
-  SheConfig cfg = SheConfig::load(in);
-  unsigned hashes = in.u32();
-  SheBloomFilter bf(cfg, hashes);
-  bf.time_ = in.u64();
-  bf.clock_ = GroupClock::load(in);
-  bf.bits_ = BitArray::load(in);
-  if (bf.clock_.groups() != cfg.groups() || bf.bits_.size() != cfg.cells)
-    throw std::runtime_error("SheBloomFilter::load: shape mismatch");
-  return bf;
-}
-
-void SheBloomFilter::clear() {
-  bits_.clear();
-  clock_.reset();
-  time_ = 0;
+void SheBloomFilter::contains_batch(std::span<const std::uint64_t> keys,
+                                    std::span<std::uint8_t> out,
+                                    std::uint64_t window) const {
+  check_window(window);
+  if (out.size() < keys.size())
+    throw std::invalid_argument("SheBloomFilter: contains_batch output too small");
+  const bool track = obs::enabled();
+  // Same probe-by-probe logic as contains(), over staged probes.
+  query_batch(keys, [&](std::size_t i, const QueryProbe* probes) {
+    obs::AgeClassCounts cls;
+    bool present = true;
+    for (unsigned h = 0; h < k_; ++h) {
+      if (track) cls.add(probes[h].age, window);
+      if (probes[h].age < window) continue;
+      if (probes[h].stale || !cells_.test(probes[h].pos)) {
+        present = false;
+        break;
+      }
+    }
+    out[i] = present ? 1 : 0;
+    cls.commit(track);
+  });
 }
 
 }  // namespace she

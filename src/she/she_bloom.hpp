@@ -11,50 +11,26 @@
 
 #include <cstdint>
 #include <span>
-#include <vector>
 
-#include "common/bit_array.hpp"
-#include "common/bobhash.hpp"
-#include "she/batch.hpp"
-#include "she/config.hpp"
-#include "she/group_clock.hpp"
+#include "she/engine.hpp"
 
 namespace she {
 
-class SheBloomFilter {
+/// <bit, K = hashes, set>.
+struct BloomPolicy : HashedProbes, BitCells {
+  static constexpr char kName[] = "SheBloomFilter";
+  static constexpr char kTag[] = "SHBF";
+  static constexpr bool kTakesHashes = true;
+};
+
+/// Inserts, clear, time, config, memory_bytes and save come from SheEngine.
+class SheBloomFilter : public SheEngine<BloomPolicy> {
  public:
   /// `cfg.cells` bits in groups of `cfg.group_cells`, probed by `hashes`
   /// hash functions.  Default alpha for SHE-BF should come from
   /// optimal_alpha_bf() (the paper uses ~3 at its default settings).
-  SheBloomFilter(const SheConfig& cfg, unsigned hashes);
-
-  /// Insert one item; advances the stream clock by one.
-  void insert(std::uint64_t key);
-
-  /// Insert a batch (bit-for-bit equivalent to insert() per key, in
-  /// order).  Runs the generic she::batch pipeline: hashes are computed a
-  /// block ahead and the touched bit and mark lines prefetched, hiding
-  /// DRAM latency when the bit array outgrows the cache.  Under vector
-  /// dispatch (common/simd.hpp) stage 1 additionally hashes 8–16 keys per
-  /// instruction and precomputes GroupClock marks; stage 2 and all
-  /// observable state stay bit-identical to the scalar path.
-  void insert_batch(std::span<const std::uint64_t> keys);
-
-  /// Time-based windows: insert at explicit timestamp `t` (monotone
-  /// non-decreasing; throws std::invalid_argument if it moves backwards).
-  /// With insert_at, `window` counts time units instead of items.
-  void insert_at(std::uint64_t key, std::uint64_t t);
-
-  /// Batched insert_at: key[i] inserted at times[i] (monotone
-  /// non-decreasing, validated up front; throws like insert_at).  Runs the
-  /// same batch/SIMD pipeline as insert_batch, so time-based wrappers get
-  /// the staged hot path instead of the scalar per-item loop.
-  void insert_at_batch(std::span<const std::uint64_t> keys,
-                       std::span<const std::uint64_t> times);
-
-  /// Advance the clock to `t` without inserting, so queries reflect the
-  /// window (t - N, t] even during arrival gaps.
-  void advance_to(std::uint64_t t);
+  SheBloomFilter(const SheConfig& cfg, unsigned hashes)
+      : SheEngine(cfg, hashes) {}
 
   /// Membership of `key` in the last-N window.  One-sided: a `false` answer
   /// is always correct; `true` may be a false positive.
@@ -80,41 +56,11 @@ class SheBloomFilter {
   void contains_batch(std::span<const std::uint64_t> keys,
                       std::span<std::uint8_t> out, std::uint64_t window) const;
 
-  /// Reset to the empty state at time 0.
-  void clear();
+  [[nodiscard]] unsigned hash_count() const { return k_; }
 
-  [[nodiscard]] std::uint64_t time() const { return time_; }
-  [[nodiscard]] const SheConfig& config() const { return cfg_; }
-  [[nodiscard]] unsigned hash_count() const { return hashes_; }
-
-  /// Payload + time-mark bytes (the figures' memory axis).
-  [[nodiscard]] std::size_t memory_bytes() const {
-    return bits_.memory_bytes() + clock_.memory_bytes();
+  static SheBloomFilter load(BinaryReader& in) {
+    return load_as<SheBloomFilter>(in);
   }
-
-  /// Checkpoint the full sliding-window state; load() resumes with
-  /// identical answers.
-  void save(BinaryWriter& out) const;
-  static SheBloomFilter load(BinaryReader& in);
-
- private:
-  [[nodiscard]] std::size_t position(std::uint64_t key, unsigned i) const {
-    return BobHash32(cfg_.seed + i)(key) % cfg_.cells;
-  }
-
-  // Shared batch-insert core: times == nullptr means +1 per key.  Picks the
-  // SIMD or scalar-reference stage 1; stage 2 is identical either way.
-  void insert_many(std::span<const std::uint64_t> keys,
-                   const std::uint64_t* times);
-  void insert_many_simd(std::span<const std::uint64_t> keys,
-                        const std::uint64_t* times);
-
-  SheConfig cfg_;
-  unsigned hashes_;
-  GroupClock clock_;
-  BitArray bits_;
-  std::uint64_t time_ = 0;
-  std::vector<batch::Slot> scratch_;  // insert_batch staging (not state)
 };
 
 }  // namespace she

@@ -10,44 +10,35 @@
 // two-sided corner, surfaced via `all_young_queries()`.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
+#include <limits>
 #include <span>
 #include <vector>
 
-#include "common/bobhash.hpp"
-#include "she/batch.hpp"
-#include "she/config.hpp"
-#include "she/group_clock.hpp"
+#include "she/engine.hpp"
 
 namespace she {
 
-class SheCountMin {
+/// <32-bit counter, K = hashes, saturating +1>.
+struct CountMinPolicy : HashedProbes {
+  static constexpr char kName[] = "SheCountMin";
+  static constexpr char kTag[] = "SHCM";
+  static constexpr bool kTakesHashes = true;
+  using Cells = std::vector<std::uint32_t>;
+  static Cells make_cells(const SheConfig& cfg) { return Cells(cfg.cells, 0); }
+  static void reset(Cells& c, std::size_t first, std::size_t count) {
+    std::fill_n(c.begin() + first, count, 0u);
+  }
+  static void update(Cells& c, std::size_t pos, std::uint64_t) {
+    if (c[pos] != std::numeric_limits<std::uint32_t>::max()) ++c[pos];
+  }
+};
+
+/// Inserts, time, config, memory_bytes and save come from SheEngine.
+class SheCountMin : public SheEngine<CountMinPolicy> {
  public:
-  SheCountMin(const SheConfig& cfg, unsigned hashes);
-
-  /// Insert one item; advances the stream clock by one.
-  void insert(std::uint64_t key);
-
-  /// Insert a batch (bit-for-bit equivalent to insert() per key, in
-  /// order) via the generic she::batch pipeline: the k counter positions
-  /// are hashed a block ahead and the counter + mark lines prefetched —
-  /// the same latency-hiding win as SHE-BF once the table leaves cache.
-  void insert_batch(std::span<const std::uint64_t> keys);
-
-  /// Time-based windows: insert at explicit timestamp `t` (monotone
-  /// non-decreasing; throws std::invalid_argument if it moves backwards).
-  /// With insert_at, `window` counts time units instead of items.
-  void insert_at(std::uint64_t key, std::uint64_t t);
-
-  /// Batched insert_at: key[i] inserted at times[i] (monotone
-  /// non-decreasing, validated up front; throws like insert_at).  Runs the
-  /// same batch/SIMD pipeline as insert_batch.
-  void insert_at_batch(std::span<const std::uint64_t> keys,
-                       std::span<const std::uint64_t> times);
-
-  /// Advance the clock to `t` without inserting, so queries reflect the
-  /// window (t - N, t] even during arrival gaps.
-  void advance_to(std::uint64_t t);
+  SheCountMin(const SheConfig& cfg, unsigned hashes) : SheEngine(cfg, hashes) {}
 
   /// Estimated frequency of `key` in the last-N window.
   [[nodiscard]] std::uint64_t frequency(std::uint64_t key) const {
@@ -71,43 +62,28 @@ class SheCountMin {
                        std::span<std::uint64_t> out,
                        std::uint64_t window) const;
 
-  void clear();
+  /// Reset to the empty state at time 0 (and the all-young counter).
+  void clear() {
+    SheEngine::clear();
+    all_young_ = 0;
+  }
 
-  [[nodiscard]] std::uint64_t time() const { return time_; }
-  [[nodiscard]] const SheConfig& config() const { return cfg_; }
-  [[nodiscard]] unsigned hash_count() const { return hashes_; }
+  [[nodiscard]] unsigned hash_count() const { return k_; }
 
   /// Queries so far whose probes were all young (fallback path taken).
   [[nodiscard]] std::uint64_t all_young_queries() const { return all_young_; }
 
-  [[nodiscard]] std::size_t memory_bytes() const {
-    return cells_.size() * sizeof(std::uint32_t) + clock_.memory_bytes();
-  }
-
-  /// Checkpoint the full sliding-window state; load() resumes with
-  /// identical answers (the all-young diagnostic counter restarts at 0).
-  void save(BinaryWriter& out) const;
-  static SheCountMin load(BinaryReader& in);
+  /// load() resumes with identical answers (the all-young diagnostic
+  /// counter restarts at 0).
+  static SheCountMin load(BinaryReader& in) { return load_as<SheCountMin>(in); }
 
  private:
-  [[nodiscard]] std::size_t position(std::uint64_t key, unsigned i) const {
-    return BobHash32(cfg_.seed + i)(key) % cfg_.cells;
-  }
+  /// The answer from the min over mature probes, or — every probe young —
+  /// the min over all of them, counted as an all-young query.
+  std::uint64_t settle(std::uint64_t best_mature, std::uint64_t best_any,
+                       bool track) const;
 
-  // Shared batch-insert core: times == nullptr means +1 per key.  Picks the
-  // SIMD or scalar-reference stage 1; stage 2 is identical either way.
-  void insert_many(std::span<const std::uint64_t> keys,
-                   const std::uint64_t* times);
-  void insert_many_simd(std::span<const std::uint64_t> keys,
-                        const std::uint64_t* times);
-
-  SheConfig cfg_;
-  unsigned hashes_;
-  GroupClock clock_;
-  std::vector<std::uint32_t> cells_;
-  std::uint64_t time_ = 0;
   mutable std::uint64_t all_young_ = 0;
-  std::vector<batch::Slot> scratch_;  // insert_batch staging (not state)
 };
 
 }  // namespace she

@@ -9,46 +9,61 @@
 // correction.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <span>
 #include <vector>
 
-#include "common/bobhash.hpp"
-#include "common/packed_array.hpp"
-#include "she/batch.hpp"
-#include "she/config.hpp"
-#include "she/group_clock.hpp"
+#include "common/int_math.hpp"
+#include "she/engine.hpp"
 
 namespace she {
 
-class SheHyperLogLog {
+/// <5-bit register, K = 1, max(rank)>.  The register index is the hashed
+/// probe of seed; the rank comes from a second hash under seed + kRankSeed.
+struct HllPolicy : HashedProbes {
+  static constexpr char kName[] = "SheHyperLogLog";
+  static constexpr char kTag[] = "SHLL";
+  static constexpr bool kUnitGroups = true;
+  static constexpr unsigned kHashesPerProbe = 2;  // register index + rank
+  static constexpr unsigned kRankBits = 5;
+  static constexpr std::uint32_t kRankSeed = 0x5eed;
+  using Cells = PackedArray;
+
+  static Cells make_cells(const SheConfig& cfg) {
+    return Cells(cfg.cells, kRankBits);
+  }
+  /// Rank of a 32-bit hash, clamped to the register width.
+  static std::uint64_t rank(std::uint32_t h) {
+    return std::min<std::uint64_t>(hll_rank(h, 32), (1u << kRankBits) - 1);
+  }
+  static batch::Slot probe(const SheConfig& cfg, std::uint64_t key, unsigned) {
+    return {HashedProbes::probe(cfg, key, 0).pos,
+            rank(BobHash32(cfg.seed + kRankSeed)(key))};
+  }
+  /// The hashed stage (w = 1: the unit div_group copies pos into gid), then
+  /// a second SIMD sweep for the ranks.
+  static void stage(const StageContext& c, std::span<const std::uint64_t> keys,
+                    std::size_t begin, std::size_t n, const StagedLanes& out) {
+    HashedProbes::stage(c, keys, begin, n, out);
+    simd::bobhash32_keys(keys.data() + begin, n, c.cfg.seed + kRankSeed,
+                         out.val);
+    for (std::size_t b = 0; b < n; ++b) out.val[b] = rank(out.val[b]);
+  }
+  static void reset(Cells& c, std::size_t first, std::size_t count) {
+    c.clear_range(first, count);
+  }
+  static void update(Cells& c, std::size_t pos, std::uint64_t r) {
+    if (r > c.get(pos)) c.set(pos, r);
+  }
+};
+
+/// Inserts, clear, time, config, memory_bytes and save come from SheEngine.
+class SheHyperLogLog : public SheEngine<HllPolicy> {
  public:
   /// `cfg.cells` registers; `cfg.group_cells` must be 1 (the paper fixes
   /// w = 1 for SHE-HLL).
-  explicit SheHyperLogLog(const SheConfig& cfg);
-
-  /// Insert one item; advances the stream clock by one.
-  void insert(std::uint64_t key);
-
-  /// Insert a batch (bit-for-bit equivalent to insert() per key, in
-  /// order): both hashes (register index and rank) are computed a block
-  /// ahead and the register + mark lines prefetched.
-  void insert_batch(std::span<const std::uint64_t> keys);
-
-  /// Time-based windows: insert at explicit timestamp `t` (monotone
-  /// non-decreasing; throws std::invalid_argument if it moves backwards).
-  /// With insert_at, `window` counts time units instead of items.
-  void insert_at(std::uint64_t key, std::uint64_t t);
-
-  /// Batched insert_at: key[i] inserted at times[i] (monotone
-  /// non-decreasing, validated up front; throws like insert_at).  Runs the
-  /// same batch/SIMD pipeline as insert_batch.
-  void insert_at_batch(std::span<const std::uint64_t> keys,
-                       std::span<const std::uint64_t> times);
-
-  /// Advance the clock to `t` without inserting, so queries reflect the
-  /// window (t - N, t] even during arrival gaps.
-  void advance_to(std::uint64_t t);
+  explicit SheHyperLogLog(const SheConfig& cfg) : SheEngine(cfg) {}
 
   /// Estimated number of distinct items in the last-N window (paper
   /// estimator: legal ages [beta*N, Tcycle)).
@@ -66,36 +81,14 @@ class SheHyperLogLog {
       std::span<const std::uint64_t> windows) const;
 
   /// Registers currently in the legal age range (diagnostic).
-  [[nodiscard]] std::size_t legal_groups() const;
+  using SheEngine::legal_groups;
 
-  void clear();
-
-  [[nodiscard]] std::uint64_t time() const { return time_; }
-  [[nodiscard]] const SheConfig& config() const { return cfg_; }
-  [[nodiscard]] std::size_t memory_bytes() const {
-    return regs_.memory_bytes() + clock_.memory_bytes();
+  static SheHyperLogLog load(BinaryReader& in) {
+    return load_as<SheHyperLogLog>(in);
   }
 
-  /// Checkpoint the full sliding-window state; load() resumes with
-  /// identical answers.
-  void save(BinaryWriter& out) const;
-  static SheHyperLogLog load(BinaryReader& in);
-
  private:
-  [[nodiscard]] bool legal_age(std::uint64_t age) const;
-
-  SheConfig cfg_;
-  GroupClock clock_;
-  PackedArray regs_;  // 5-bit ranks, 0 = empty
-  std::uint64_t time_ = 0;
-  // Shared batch-insert core: times == nullptr means +1 per key.  Picks the
-  // SIMD or scalar-reference stage 1; stage 2 is identical either way.
-  void insert_many(std::span<const std::uint64_t> keys,
-                   const std::uint64_t* times);
-  void insert_many_simd(std::span<const std::uint64_t> keys,
-                        const std::uint64_t* times);
-
-  std::vector<batch::Slot> scratch_;  // insert_batch staging (not state)
+  std::vector<double> estimate(std::span<const Band> bands) const;
 };
 
 }  // namespace she

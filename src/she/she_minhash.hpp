@@ -8,65 +8,82 @@
 // is (#equal legal slots) / (#legal slots).
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
+#include <limits>
 #include <span>
 #include <vector>
 
-#include "common/bobhash.hpp"
-#include "she/batch.hpp"
-#include "she/config.hpp"
-#include "she/group_clock.hpp"
+#include "she/engine.hpp"
 
 namespace she {
 
-class SheMinHash {
+/// <24-bit minimum, K = M (every slot), min(H_i(x))>.
+struct MinHashPolicy {
+  static constexpr char kName[] = "SheMinHash";
+  static constexpr char kTag[] = "SHMH";
+  static constexpr bool kTakesHashes = false;
+  static constexpr bool kUnitGroups = true;
+  static constexpr unsigned kHashesPerProbe = 1;
+  /// Stage 1 sweeps one key's whole signature at a time, so any K fits.
+  static constexpr unsigned kMaxBlockProbes =
+      std::numeric_limits<unsigned>::max();
+  /// Empty-slot sentinel, larger than any 24-bit hash value.
+  static constexpr std::uint32_t kEmpty = 1u << 24;
+  using Cells = std::vector<std::uint32_t>;
+
+  static unsigned probes(const SheConfig& cfg) {
+    return static_cast<unsigned>(cfg.cells);
+  }
+  static Cells make_cells(const SheConfig& cfg) {
+    return Cells(cfg.cells, kEmpty);
+  }
+  static batch::Slot probe(const SheConfig& cfg, std::uint64_t key,
+                           unsigned i) {
+    return {i, BobHash32(cfg.seed + i)(key) & 0xFFFFFFu};
+  }
+  /// Lane-parallel hashing across the seed axis (one key, M consecutive
+  /// seeds); every slot of a key shares its time, so marks are staged with
+  /// one range sweep per key (slots ARE the groups).
+  static void stage(const StageContext& c, std::span<const std::uint64_t> keys,
+                    std::size_t begin, std::size_t n, const StagedLanes& out) {
+    const std::size_t m = c.probes;
+    for (std::size_t b = 0; b < n; ++b) {
+      const std::size_t s0 = b * m;
+      simd::bobhash32_seeds(keys[begin + b], c.cfg.seed, m, out.val + s0);
+      const std::uint64_t t = c.stager.time_of(begin + b);
+      c.clock.stage_marks_range(0, m, c.clock.split(t), out.cur + s0);
+      for (std::size_t i = 0; i < m; ++i) {
+        out.pos[s0 + i] = out.gid[s0 + i] = static_cast<std::uint32_t>(i);
+        out.val[s0 + i] &= 0xFFFFFFu;
+      }
+    }
+  }
+  static void reset(Cells& c, std::size_t first, std::size_t count) {
+    std::fill_n(c.begin() + first, count, kEmpty);
+  }
+  static void update(Cells& c, std::size_t pos, std::uint64_t v) {
+    c[pos] = std::min(c[pos], static_cast<std::uint32_t>(v));
+  }
+};
+
+/// Inserts, clear, time, config and save come from SheEngine; every insert
+/// updates every slot (MinHash's K = m in the CSM).
+class SheMinHash : public SheEngine<MinHashPolicy> {
  public:
   /// `cfg.cells` signature slots; `cfg.group_cells` must be 1 (w = 1).
-  explicit SheMinHash(const SheConfig& cfg);
+  explicit SheMinHash(const SheConfig& cfg) : SheEngine(cfg) {}
 
-  /// Insert one item; advances the stream clock by one.  Every slot is
-  /// updated (MinHash's K = m in the CSM).
-  void insert(std::uint64_t key);
-
-  /// Insert a batch (bit-for-bit equivalent to insert() per key, in
-  /// order).  With K = m the signature is scanned sequentially anyway, so
-  /// the win here is staged hashing and uniform metric accounting rather
-  /// than prefetch; the generic layer sizes its blocks down automatically.
-  void insert_batch(std::span<const std::uint64_t> keys);
-
-  /// Time-based windows: insert at explicit timestamp `t` (monotone
-  /// non-decreasing; throws std::invalid_argument if it moves backwards).
-  /// With insert_at, `window` counts time units instead of items.
-  void insert_at(std::uint64_t key, std::uint64_t t);
-
-  /// Batched insert_at: key[i] inserted at times[i] (monotone
-  /// non-decreasing, validated up front; throws like insert_at).  Runs the
-  /// same batch/SIMD pipeline as insert_batch.
-  void insert_at_batch(std::span<const std::uint64_t> keys,
-                       std::span<const std::uint64_t> times);
-
-  /// Advance the clock to `t` without inserting, so queries reflect the
-  /// window (t - N, t] even during arrival gaps.
-  void advance_to(std::uint64_t t);
-
-  void clear();
-
-  [[nodiscard]] std::uint64_t time() const { return time_; }
-  [[nodiscard]] const SheConfig& config() const { return cfg_; }
-  [[nodiscard]] std::size_t slot_count() const { return sig_.size(); }
+  [[nodiscard]] std::size_t slot_count() const { return cells_.size(); }
 
   /// Signature bytes (24-bit slots) + time marks.
   [[nodiscard]] std::size_t memory_bytes() const {
-    return sig_.size() * 3 + clock_.memory_bytes();
+    return cells_.size() * 3 + clock_.memory_bytes();
   }
 
-  /// Checkpoint the full sliding-window state; load() resumes with
-  /// identical answers.
-  void save(BinaryWriter& out) const;
-  static SheMinHash load(BinaryReader& in);
+  static SheMinHash load(BinaryReader& in) { return load_as<SheMinHash>(in); }
 
-  /// Empty-slot sentinel, larger than any 24-bit hash value.
-  static constexpr std::uint32_t kEmpty = 1u << 24;
+  static constexpr std::uint32_t kEmpty = MinHashPolicy::kEmpty;
 
   /// Estimated Jaccard similarity of the two streams' last-N windows.
   /// Both signatures must share cfg (cells, window, alpha, seed) and be at
@@ -82,31 +99,14 @@ class SheMinHash {
   /// Batched multi-window query: element-wise identical to
   /// jaccard(a, b, windows[i]) but both signatures are scanned ONCE for
   /// all windows instead of once per window.
-  static std::vector<double> jaccard_batch(const SheMinHash& a,
-                                           const SheMinHash& b,
-                                           std::span<const std::uint64_t> windows);
+  static std::vector<double> jaccard_batch(
+      const SheMinHash& a, const SheMinHash& b,
+      std::span<const std::uint64_t> windows);
 
  private:
-  [[nodiscard]] std::uint32_t value(std::uint64_t key, std::size_t i) const {
-    return BobHash32(cfg_.seed + static_cast<std::uint32_t>(i))(key) & 0xFFFFFFu;
-  }
-  [[nodiscard]] bool legal_age(std::uint64_t age) const;
-  [[nodiscard]] std::uint32_t effective_slot(std::size_t i) const {
-    return clock_.stale(i, time_) ? kEmpty : sig_[i];
-  }
-
-  SheConfig cfg_;
-  GroupClock clock_;
-  std::vector<std::uint32_t> sig_;
-  std::uint64_t time_ = 0;
-  // Shared batch-insert core: times == nullptr means +1 per key.  Picks the
-  // SIMD or scalar-reference stage 1; stage 2 is identical either way.
-  void insert_many(std::span<const std::uint64_t> keys,
-                   const std::uint64_t* times);
-  void insert_many_simd(std::span<const std::uint64_t> keys,
-                        const std::uint64_t* times);
-
-  std::vector<batch::Slot> scratch_;  // insert_batch staging (not state)
+  static std::vector<double> similarity(const SheMinHash& a,
+                                        const SheMinHash& b,
+                                        std::span<const Band> bands);
 };
 
 }  // namespace she

@@ -16,6 +16,7 @@
 
 #include "common/io.hpp"
 #include "common/rng.hpp"
+#include "common/simd.hpp"
 #include "she/she.hpp"
 #include "stream/trace.hpp"
 #include <gtest/gtest.h>
@@ -207,6 +208,53 @@ TEST(BatchDifferential, MinHashInsertAndJaccardBatch) {
             << "window " << windows[j];
       ASSERT_DOUBLE_EQ(SheMinHash::jaccard(scalar, batched),
                        1.0);  // identical streams
+    }
+  }
+}
+
+/// Shapes that leave the vector block path: hash counts above the slot
+/// budget (BF and CM with 257 hashes) and a signature wider than it
+/// (MinHash with 300 slots).  Batch inserts and batched queries must still
+/// equal the per-key loop byte for byte, natively and forced-scalar.
+TEST(BatchDifferential, ShapesBeyondTheSlotBudget) {
+  auto s = draw(9000, /*boundary_adversarial=*/true);
+  SheConfig unit = s.cfg;  // SHE-MH requires w = 1
+  unit.cells = 300;
+  unit.group_cells = 1;
+  for (bool scalar : {false, true}) {
+    const simd::ScopedForceScalar pin(scalar);
+    for (std::size_t chunk : {1ul, 7ul, 100000ul}) {
+      SCOPED_TRACE(testing::Message()
+                   << "scalar=" << scalar << " chunk=" << chunk);
+      SheBloomFilter bf_scalar(s.cfg, 257), bf_batched(s.cfg, 257);
+      drive(bf_scalar, bf_batched, s.trace, chunk,
+            [&](const SheBloomFilter& a, const SheBloomFilter& b,
+                std::size_t i) {
+              std::uint64_t probes[3] = {i * 7919, s.trace[i - 1],
+                                         s.trace[i / 2]};
+              std::uint8_t got[3];
+              b.contains_batch(std::span<const std::uint64_t>(probes, 3),
+                               std::span<std::uint8_t>(got, 3));
+              for (int p = 0; p < 3; ++p)
+                ASSERT_EQ(a.contains(probes[p]), got[p] != 0) << "i=" << i;
+            });
+      SheCountMin cm_scalar(s.cfg, 257), cm_batched(s.cfg, 257);
+      drive(cm_scalar, cm_batched, s.trace, chunk,
+            [&](const SheCountMin& a, const SheCountMin& b, std::size_t i) {
+              std::uint64_t probes[3] = {i * 7919, s.trace[i - 1],
+                                         s.trace[i / 2]};
+              std::uint64_t got[3];
+              b.frequency_batch(std::span<const std::uint64_t>(probes, 3),
+                                std::span<std::uint64_t>(got, 3));
+              for (int p = 0; p < 3; ++p)
+                ASSERT_EQ(a.frequency(probes[p]), got[p]) << "i=" << i;
+            });
+      SheMinHash mh_scalar(unit), mh_batched(unit);
+      drive(mh_scalar, mh_batched, s.trace, chunk,
+            [](const SheMinHash& a, const SheMinHash& b, std::size_t) {
+              ASSERT_EQ(a.time(), b.time());
+            });
+      ASSERT_DOUBLE_EQ(SheMinHash::jaccard(mh_scalar, mh_batched), 1.0);
     }
   }
 }

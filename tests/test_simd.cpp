@@ -490,6 +490,59 @@ TEST(SimdDifferential, MinHashBatchPaths) {
   }
 }
 
+TEST(SimdDifferential, ShapesBeyondTheSlotBudget) {
+  // BF and CM with 257 hashes and SHE-MH with 300 slots: more probes per
+  // key than one staged block holds.  Native and forced-scalar batches must
+  // serialize identically, and batched queries must agree with each other
+  // and with the per-key query.
+  SheConfig cfg;
+  cfg.window = 48;
+  cfg.cells = 1009;
+  cfg.group_cells = 16;
+  cfg.alpha = 0.25;
+  cfg.mark_bits = 1;
+  cfg.seed = 577;
+  SheConfig unit = cfg;
+  unit.cells = 300;
+  unit.group_cells = 1;
+  const auto trace = zipf(590, 4 * cfg.window, 3 * cfg.window);
+  for (std::size_t chunk : kChunks) {
+    expect_batch_paths_identical([&] { return SheBloomFilter(cfg, 257); },
+                                 trace, chunk);
+    expect_at_batch_paths_identical([&] { return SheBloomFilter(cfg, 257); },
+                                    trace, chunk, 6000);
+    expect_batch_paths_identical([&] { return SheCountMin(cfg, 257); }, trace,
+                                 chunk);
+    expect_at_batch_paths_identical([&] { return SheCountMin(cfg, 257); },
+                                    trace, chunk, 6001);
+    expect_batch_paths_identical([&] { return SheMinHash(unit); }, trace,
+                                 chunk);
+    expect_at_batch_paths_identical([&] { return SheMinHash(unit); }, trace,
+                                    chunk, 6002);
+  }
+  SheBloomFilter bf(cfg, 257);
+  SheCountMin cm(cfg, 257);
+  bf.insert_batch(std::span<const std::uint64_t>(trace.data(), trace.size()));
+  cm.insert_batch(std::span<const std::uint64_t>(trace.data(), trace.size()));
+  const std::size_t n = 40;
+  const std::span<const std::uint64_t> probes(trace.data(), n);
+  std::vector<std::uint8_t> present(n), present_scalar(n);
+  std::vector<std::uint64_t> freq(n), freq_scalar(n);
+  bf.contains_batch(probes, std::span<std::uint8_t>(present));
+  cm.frequency_batch(probes, std::span<std::uint64_t>(freq));
+  {
+    const simd::ScopedForceScalar pin;
+    bf.contains_batch(probes, std::span<std::uint8_t>(present_scalar));
+    cm.frequency_batch(probes, std::span<std::uint64_t>(freq_scalar));
+  }
+  for (std::size_t i = 0; i < n; ++i) {
+    ASSERT_EQ(present[i], present_scalar[i]) << "i=" << i;
+    ASSERT_EQ(present[i] != 0, bf.contains(probes[i])) << "i=" << i;
+    ASSERT_EQ(freq[i], freq_scalar[i]) << "i=" << i;
+    ASSERT_EQ(freq[i], cm.frequency(probes[i])) << "i=" << i;
+  }
+}
+
 TEST(SimdDifferential, InsertAtBatchMatchesScalarInsertAt) {
   // The batched insert_at must equal the per-key insert_at loop, not just
   // the other batch path.
