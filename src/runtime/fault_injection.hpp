@@ -1,15 +1,17 @@
 // Deterministic fault-injection harness for the ingest runtime.
 //
 // Recovery code that is never executed is broken code waiting for an
-// outage, so the supervision/checkpoint/backpressure paths are driven by
+// outage, so the recovery/checkpoint/backpressure paths are driven by
 // *injected* faults the tests (and `she_tool pipeline --inject`) can place
 // deterministically:
 //
 //   kWorkerThrow        worker throws InjectedFault once its shard has
-//                       applied `at` items (fires between batches)
-//   kConsumerStall      worker sleeps `param` milliseconds at item `at`
-//                       (drives heartbeat-staleness / wedge detection and
-//                       backpressure timeouts)
+//                       consumed `at` items (checked before every drained
+//                       block, so it fires mid-sweep; drives in-place
+//                       recovery and dead shards)
+//   kConsumerStall      worker sleeps `param` milliseconds once its shard
+//                       has consumed `at` items (checked like kWorkerThrow;
+//                       drives wedge detection and backpressure timeouts)
 //   kCheckpointBitFlip  the shard's `at`-th checkpoint frame gets one bit
 //                       flipped, at a position seeded by `param` (drives
 //                       CRC rejection)
@@ -34,8 +36,9 @@
 // is defined (a CMake option, ON by default so tools and tests work out of
 // the box; production builds turn it off for literally zero overhead).
 // When compiled in, an unarmed injector costs one relaxed atomic load per
-// *sweep* — never per item — and arming is test-only, so determinism
-// matters more than speed: armed checks take a mutex.
+// drained block of `drain_batch` items — never per item — and arming is
+// test-only, so determinism matters more than speed: armed checks take a
+// mutex.
 //
 // The injector is process-global (`fault::injector()`): specs are armed by
 // tests or the CLI before the pipeline runs and cleared afterwards.  Each
@@ -68,7 +71,7 @@ enum class Point {
 
 inline constexpr std::size_t kAnyShard = static_cast<std::size_t>(-1);
 
-/// One armed fault.  `at` is compared against the shard's applied-item
+/// One armed fault.  `at` is compared against the shard's consumed-item
 /// count (worker faults/stalls) or its checkpoint ordinal (corruptions);
 /// the spec fires on the first check where the count reaches it.
 struct Spec {
@@ -191,7 +194,8 @@ inline Injector& injector() {
   return i;
 }
 
-/// Worker-loop checkpoint: throw once the shard has applied `count` items.
+/// Worker-loop check, before each drained block: throw once the shard has
+/// consumed `count` items.
 inline void maybe_throw(std::size_t shard, std::uint64_t count) {
   if (auto s = injector().fire(Point::kWorkerThrow, shard, count))
     throw InjectedFault("injected worker fault (shard " +
@@ -199,7 +203,8 @@ inline void maybe_throw(std::size_t shard, std::uint64_t count) {
                         std::to_string(count) + ")");
 }
 
-/// Worker-loop checkpoint: sleep `param` ms once `count` items applied.
+/// Worker-loop check, before each drained block: sleep `param` ms once
+/// the shard has consumed `count` items.
 inline void maybe_stall(std::size_t shard, std::uint64_t count) {
   if (auto s = injector().fire(Point::kConsumerStall, shard, count))
     std::this_thread::sleep_for(std::chrono::milliseconds(s->param));

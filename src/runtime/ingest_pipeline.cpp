@@ -49,9 +49,6 @@ void PipelineOptions::validate() const {
   if (supervise && heartbeat_timeout_ms == 0)
     throw std::invalid_argument(
         "PipelineOptions: supervise needs heartbeat_timeout_ms > 0");
-  if (supervise && supervisor_interval_ms == 0)
-    throw std::invalid_argument(
-        "PipelineOptions: supervise needs supervisor_interval_ms > 0");
   if (rate_window_s == 0)
     throw std::invalid_argument("PipelineOptions: rate_window_s must be > 0");
   if (wal_mode != WalMode::kOff && checkpoint_dir.empty())

@@ -29,14 +29,15 @@
 //     typed CheckpointError, never loaded silently — and records the
 //     per-shard stream offsets (`resume_offset()`) so a driver can skip
 //     the already-ingested per-shard prefix of its trace.
-//   * Supervision: with `supervise = true`, a supervisor thread restarts
-//     workers that died by exception (rolled back to the shard's last
-//     published snapshot; items applied since are counted lost, ring
-//     backlog counted replayed) and fences workers whose heartbeat went
-//     stale (`heartbeat_timeout_ms`) so a wedged-but-cooperative worker
-//     hands its shard over losslessly.  Restarts are capped at
-//     `max_restarts` per shard; beyond it the shard is abandoned and
-//     pushes to it fail fast.
+//   * Supervision: with `supervise = true`, a worker that dies by exception
+//     recovers on its own thread: it restores the estimator from the
+//     shard's last published snapshot, replays the items applied since
+//     from the backlog log (or, without the log, counts them lost),
+//     counts the ring backlog replayed, and goes back to draining.  After
+//     `kMaxRestarts` recoveries the shard is dead and pushes to it fail
+//     fast.  The queue-depth sampler counts workers whose heartbeat went
+//     stale (`heartbeat_timeout_ms`) as wedged; a wedged worker that wakes
+//     simply carries on.
 //   * Write-ahead backlog log (common/wal.hpp): checkpoints capture the
 //     drained prefix, but items *accepted and still queued* used to be
 //     lost by design at a crash.  With `wal_mode != kOff`, each accepted
@@ -52,12 +53,13 @@
 //     low-water mark that retires frames at compaction, and resume
 //     replays the logged suffix past the newest checkpoint — so kill -9
 //     at any instant reconstructs the accepted stream byte-identically.
-//     Only a terminally dead shard (faulted without a supervisor, or
-//     abandoned) accepts batches into the log without enqueueing them;
-//     that is safe because nothing drains or checkpoints there again,
-//     so the logged tail surfaces, in order, at the next resume.  A
-//     supervised restart's rollback gap (published snapshot .. consumed)
-//     is healed back from the log instead of being counted lost.
+//     Only a terminally dead shard (faulted without supervision, or past
+//     the recovery cap) accepts batches into the log without enqueueing
+//     them; that is safe because nothing drains or checkpoints there
+//     again, so the logged tail surfaces, in order, at the next resume.
+//     Resume and in-place recovery replay the log through one function
+//     (replay_log), so a recovery's rollback gap is healed from the log
+//     instead of being counted lost.
 //     Batches carrying a client identity (client_id, client_seq) are
 //     deduplicated against a per-shard sequence table that survives
 //     restarts inside the log, making client-side INSERT_BULK replay
@@ -170,10 +172,9 @@ struct PipelineOptions {
                                        ///< background sampler thread
 
   // Fault tolerance.
-  bool supervise = false;              ///< restart faulted / fence wedged workers
+  bool supervise = false;              ///< faulted workers recover in place
   std::size_t heartbeat_timeout_ms = 250;  ///< wedged when heartbeat older
-  std::size_t supervisor_interval_ms = 5;  ///< supervisor poll period
-  std::size_t max_restarts = 16;       ///< per-shard cap before abandoning
+                                           ///< (checked by the sampler)
   std::string checkpoint_dir;          ///< empty = no durable checkpoints
   std::uint64_t checkpoint_interval = 1u << 16;  ///< items between frames
   std::size_t checkpoint_keep = 1;     ///< retained frame generations per
@@ -288,34 +289,20 @@ class IngestPipeline {
         // `consumed`.
         WalScan scan = read_wal(wal_path(s));
         if (opt_.resume) {
-          std::uint64_t pos = sh->consumed;
-          for (const WalFrame& f : scan.frames) {
-            if (f.end_offset() <= pos) continue;  // already checkpointed
-            const std::vector<std::uint64_t> keys = f.keys();
-            const std::size_t skip = static_cast<std::size_t>(
-                pos > f.start_offset ? pos - f.start_offset : 0);
-            const std::span<const std::uint64_t> rest(keys.data() + skip,
-                                                      keys.size() - skip);
-            if constexpr (requires { sh->est.insert_batch(rest); })
-              sh->est.insert_batch(rest);
-            else
-              for (std::uint64_t k : rest) sh->est.insert(k);
-            pos = f.end_offset();
-            sh->wal_replayed->inc(rest.size());
+          if (scan.end_offset > sh->consumed) {
+            replay_log(*sh, scan, sh->consumed, scan.end_offset);
             // WAL-mode items all drain through lane 0 (the WAL lane).
-            sh->producer_offsets[0] += rest.size();
+            sh->producer_offsets[0] += scan.end_offset - sh->consumed;
+            sh->resume_offset = scan.end_offset;
+            sh->consumed = scan.end_offset;
+            sh->consumed_at_publish = scan.end_offset;
           }
-          pos = std::max(pos, scan.end_offset);
-          sh->resume_offset = pos;
-          sh->consumed = pos;
-          sh->consumed_at_publish = pos;
           // If the checkpoint is ahead of the log (log file lost or
           // fully compacted away), new frames must still start at the
           // checkpoint offset — an append below `consumed` would be
           // skipped as "already checkpointed" at the next resume.
-          scan.end_offset = std::max(scan.end_offset, pos);
-        }
-        if (!opt_.resume) {
+          scan.end_offset = std::max(scan.end_offset, sh->consumed);
+        } else {
           // A fresh (non-resuming) pipeline must not append after stale
           // frames from an earlier life of this directory.
           std::error_code ec;
@@ -387,14 +374,11 @@ class IngestPipeline {
     return shards_[s]->resume_offset;
   }
 
-  /// True while any shard worker is dead by exception (or abandoned after
-  /// max_restarts) and not yet restarted.  Any thread.
+  /// True once any shard worker died for good: by exception without
+  /// supervision, or past kMaxRestarts recoveries.  Any thread.
   [[nodiscard]] bool faulted() const {
-    for (const auto& sh : shards_) {
-      const WorkerState st = sh->state.load(std::memory_order_acquire);
-      if (st == WorkerState::kFaulted || st == WorkerState::kAbandoned)
-        return true;
-    }
+    for (const auto& sh : shards_)
+      if (shard_dead(*sh)) return true;
     return false;
   }
 
@@ -405,8 +389,8 @@ class IngestPipeline {
     return degraded_.load(std::memory_order_acquire);
   }
 
-  /// Launch one worker thread per shard (plus the supervisor and the
-  /// queue-depth sampler when configured).
+  /// Launch one worker thread per shard (plus the queue-depth sampler when
+  /// configured).
   void start() {
     if (started_.load(std::memory_order_relaxed))
       throw std::logic_error("IngestPipeline: already started");
@@ -417,8 +401,6 @@ class IngestPipeline {
     workers_.reserve(opt_.shards);
     for (std::size_t s = 0; s < opt_.shards; ++s)
       workers_.emplace_back([this, s] { worker_entry(s); });
-    if (opt_.supervise)
-      supervisor_ = std::thread([this] { supervisor_loop(); });
     if (opt_.sample_interval_ms > 0)
       sampler_ = std::thread([this] { sampler_loop(); });
   }
@@ -426,8 +408,7 @@ class IngestPipeline {
   /// Route one key from producer `producer` to its shard's ring.
   /// Returns false iff the item was not accepted: DropNewest and the ring
   /// is full, a BlockTimeout push that timed out, a Block push against a
-  /// dead (faulted, unsupervised or abandoned) shard, or the pipeline is
-  /// closing.
+  /// dead shard (see faulted()), or the pipeline is closing.
   bool push(std::size_t producer, std::uint64_t key) {
     check_degraded();
     if (opt_.wal_mode != WalMode::kOff) {
@@ -711,24 +692,10 @@ class IngestPipeline {
     accepting_.store(false, std::memory_order_release);
     stopping_.store(true, std::memory_order_release);
     if (started_.load(std::memory_order_relaxed)) {
-      if (supervisor_.joinable()) supervisor_.join();
       for (auto& t : workers_)
         if (t.joinable()) t.join();
       workers_.clear();
       if (sampler_.joinable()) sampler_.join();
-      // A fence hand-over can race close(): the supervisor fences a wedged
-      // worker out, then observes stopping_ and exits before restarting it.
-      // Finish the hand-over inline so cleanly-exited shards never strand
-      // accepted items in their rings.  (Faulted shards stay as they are —
-      // their live estimator is untrustworthy.)
-      for (std::size_t s = 0; s < opt_.shards; ++s) {
-        Shard& sh = *shards_[s];
-        if (sh.state.load(std::memory_order_acquire) == WorkerState::kExited &&
-            !rings_empty(sh)) {
-          sh.fence.store(false, std::memory_order_relaxed);
-          worker_entry(s);
-        }
-      }
     } else {
       for (std::size_t s = 0; s < opt_.shards; ++s) worker_entry(s);
     }
@@ -745,12 +712,12 @@ class IngestPipeline {
   /// interval) commands ride on.
   ///
   /// Returns true when every shard acked within `timeout_ms`; false on
-  /// timeout or when a shard is dead/abandoned.  Workers ack only from
-  /// their idle branch (rings momentarily empty), so under relentless
-  /// concurrent ingest the barrier is best-effort and bounded by the
-  /// timeout.  Any thread may call this; on a closed (or never-started)
-  /// pipeline the final state is already published and checkpointed, so
-  /// it returns true immediately.
+  /// timeout or when a shard is dead.  Workers ack only from their idle
+  /// branch (rings momentarily empty), so under relentless concurrent
+  /// ingest the barrier is best-effort and bounded by the timeout.  Any
+  /// thread may call this; on a closed (or never-started) pipeline the
+  /// final state is already published and checkpointed, so it returns
+  /// true immediately.
   bool sync(bool with_checkpoint, std::size_t timeout_ms = 5000) {
     if (closed_.load(std::memory_order_acquire)) return true;
     if (!started_.load(std::memory_order_relaxed)) {
@@ -848,8 +815,8 @@ class IngestPipeline {
   }
 
  private:
-  enum class WorkerState : int { kIdle, kRunning, kFaulted, kExited,
-                                 kAbandoned };
+  /// Per-shard cap on in-place recoveries; one more fault kills the shard.
+  static constexpr std::size_t kMaxRestarts = 16;
 
   struct Shard {
     explicit Shard(Estimator e) : est(std::move(e)) {}
@@ -887,12 +854,12 @@ class IngestPipeline {
     /// retained generation — resume may fall back past a corrupt newest
     /// frame, and that older base still needs its replay suffix.
     std::vector<std::uint64_t> ckpt_history;
-    // Supervision handshake.  The worker's plain fields above are read by
-    // the supervisor only after it observed kFaulted/kExited (released by
-    // the exiting worker) and joined the thread.
-    std::atomic<WorkerState> state{WorkerState::kIdle};
+    /// Set once the worker gave up for good; nothing drains this shard
+    /// again.
+    std::atomic<bool> dead{false};
+    /// Worker progress stamp, read by the sampler's wedge check.
     std::atomic<std::int64_t> heartbeat_ns{0};
-    std::atomic<bool> fence{false};  ///< supervisor asks worker to hand over
+    bool wedged_episode = false;  ///< sampler-only: heartbeat seen stale
     // Sync handshake (see sync()): a caller bumps sync_req; the worker
     // acks after its rings drained and a fresh snapshot (and, when
     // sync_ckpt was set, a durable frame) was published.
@@ -903,7 +870,6 @@ class IngestPipeline {
     /// adopts (and clears) it at the start of a drain sweep so drain /
     /// publish / checkpoint spans carry the requester's id.
     std::atomic<std::uint64_t> last_trace_id{0};
-    std::string fault_msg;           ///< written before state -> kFaulted
     // Registry-owned metrics (see bind_metrics); plain pointers, the
     // registry outlives the shards.
     obs::Counter* inserted = nullptr;
@@ -936,21 +902,21 @@ class IngestPipeline {
     sh.publishes = &registry_.counter("she_pipeline_publishes_total",
                                       "snapshot publications", shard_label);
     sh.restarts = &registry_.counter("she_pipeline_worker_restarts_total",
-                                     "supervised worker restarts",
+                                     "supervised in-place worker recoveries",
                                      shard_label);
     sh.faults = &registry_.counter("she_pipeline_worker_faults_total",
                                    "worker threads died by exception",
                                    shard_label);
     sh.wedged = &registry_.counter(
         "she_pipeline_worker_wedged_total",
-        "heartbeat-stale episodes detected by the supervisor", shard_label);
+        "heartbeat-stale episodes detected by the sampler", shard_label);
     sh.lost = &registry_.counter(
         "she_pipeline_items_lost_total",
-        "items rolled back to the last published snapshot at a restart",
+        "items rolled back to the last published snapshot at a recovery",
         shard_label);
     sh.replayed = &registry_.counter(
         "she_pipeline_items_replayed_total",
-        "ring backlog re-drained by a restarted worker", shard_label);
+        "ring backlog re-drained by a recovered worker", shard_label);
     sh.checkpoints = &registry_.counter("she_pipeline_checkpoints_total",
                                         "durable checkpoint frames written",
                                         shard_label);
@@ -983,12 +949,9 @@ class IngestPipeline {
     return opt_.checkpoint_dir + "/shard-" + std::to_string(s) + ".wal";
   }
 
-  /// A shard whose ring will never drain again: dead by exception with no
-  /// supervisor to revive it, or abandoned past max_restarts.
-  [[nodiscard]] bool shard_dead(const Shard& sh) const {
-    const WorkerState st = sh.state.load(std::memory_order_acquire);
-    return st == WorkerState::kAbandoned ||
-           (st == WorkerState::kFaulted && !opt_.supervise);
+  /// A shard whose ring will never drain again.
+  [[nodiscard]] static bool shard_dead(const Shard& sh) {
+    return sh.dead.load(std::memory_order_acquire);
   }
 
   void publish(Shard& sh) {
@@ -1104,20 +1067,84 @@ class IngestPipeline {
     return true;
   }
 
+  /// Run shard `si`'s drain loop until close().  A fault (any exception
+  /// out of the loop) is recovered in place when supervised, up to
+  /// kMaxRestarts times; otherwise the shard is dead from then on.
   void worker_entry(std::size_t si) {
     Shard& sh = *shards_[si];
-    sh.heartbeat_ns.store(now_ns(), std::memory_order_relaxed);
-    sh.state.store(WorkerState::kRunning, std::memory_order_release);
-    try {
-      worker_loop(si);
-      sh.state.store(WorkerState::kExited, std::memory_order_release);
-    } catch (const std::exception& e) {
-      // The estimator may be mid-batch; only the published snapshot is
-      // trustworthy now.  The supervisor (when enabled) rolls back to it.
-      sh.fault_msg = e.what();
-      sh.faults->inc();
-      sh.state.store(WorkerState::kFaulted, std::memory_order_release);
+    for (std::size_t recoveries = 0;; ++recoveries) {
+      try {
+        if (recoveries > 0) recover(sh);
+        worker_loop(si);
+        return;
+      } catch (const std::exception&) {
+        sh.faults->inc();
+        if (!opt_.supervise || recoveries == kMaxRestarts) {
+          sh.dead.store(true, std::memory_order_release);
+          return;
+        }
+      }
     }
+  }
+
+  /// In-place recovery on the worker thread.  The live estimator may be
+  /// mid-batch garbage, so restore the shard's last published snapshot,
+  /// then bring it back up to `consumed` from the log — or, without one,
+  /// count the rolled-back items lost and rewind.  The ring backlog the
+  /// worker re-drains next is counted replayed.
+  void recover(Shard& sh) {
+    std::uint64_t backlog = 0;
+    for (const auto& r : sh.rings) backlog += r->size_approx();
+    sh.snap->read(sh.scratch);
+    Estimator restored =
+        deserialize<Estimator>(sh.scratch.data(), sh.scratch.size());
+    std::destroy_at(&sh.est);
+    std::construct_at(&sh.est, std::move(restored));
+    if (sh.wal != nullptr) {
+      // Every consumed item was logged before it was enqueued, and its
+      // append has long returned, so the range is in the file.
+      replay_log(sh, read_wal(wal_path(sh.index)), sh.consumed_at_publish,
+                 sh.consumed);
+    } else {
+      sh.lost->inc(sh.consumed - sh.consumed_at_publish);
+      sh.consumed = sh.consumed_at_publish;
+    }
+    sh.since_publish = sh.consumed - sh.consumed_at_publish;
+    sh.replayed->inc(backlog);
+    sh.restarts->inc();
+  }
+
+  /// Apply the logged items in [from, to) to the shard's estimator in log
+  /// order: resume replays to the end of the log, recovery up to
+  /// `consumed`.  Items the log does not hold (a gap between frames, or a
+  /// log that ends short of `to`) are skipped and counted lost.
+  void replay_log(Shard& sh, const WalScan& scan, std::uint64_t from,
+                  std::uint64_t to) {
+    std::uint64_t pos = from;
+    for (const WalFrame& f : scan.frames) {
+      if (f.end_offset() <= pos) continue;  // already applied
+      if (f.start_offset >= to) break;
+      if (f.start_offset > pos) {
+        sh.lost->inc(f.start_offset - pos);
+        pos = f.start_offset;
+      }
+      const std::vector<std::uint64_t> keys = f.keys();
+      const std::uint64_t end = std::min(f.end_offset(), to);
+      apply(sh.est, std::span<const std::uint64_t>(keys).subspan(
+                        static_cast<std::size_t>(pos - f.start_offset),
+                        static_cast<std::size_t>(end - pos)));
+      sh.wal_replayed->inc(end - pos);
+      pos = end;
+    }
+    if (pos < to) sh.lost->inc(to - pos);
+  }
+
+  /// Insert `keys` in order, batched when the estimator can.
+  static void apply(Estimator& est, std::span<const std::uint64_t> keys) {
+    if constexpr (requires { est.insert_batch(keys); })
+      est.insert_batch(keys);  // pipelined hash-ahead + prefetch
+    else
+      for (std::uint64_t k : keys) est.insert(k);
   }
 
   void worker_loop(std::size_t si) {
@@ -1125,10 +1152,6 @@ class IngestPipeline {
     std::vector<std::uint64_t> buf(opt_.drain_batch);
     for (;;) {
       const std::int64_t sweep_start = now_ns();
-      sh.heartbeat_ns.store(sweep_start, std::memory_order_relaxed);
-      if (sh.fence.load(std::memory_order_acquire)) break;  // hand over
-      fault::maybe_stall(si, sh.consumed);
-      fault::maybe_throw(si, sh.consumed);
       // Adopt (and clear) the id of the most recent traced push routed to
       // this shard, so this sweep's drain/publish/checkpoint spans carry
       // it across the producer → worker thread hop.
@@ -1148,18 +1171,27 @@ class IngestPipeline {
           sh.hwm_local = depth;
           sh.queue_hwm->max_of(static_cast<std::int64_t>(depth));
         }
-        std::size_t n;
-        while ((n = ring.drain(buf.data(), buf.size())) > 0) {
-          const std::span<const std::uint64_t> block(buf.data(), n);
+        for (;;) {
+          // Before every block, not once per sweep: a sweep lasts as long
+          // as producers keep up, and the heartbeat, an armed fault and
+          // the publish interval must all track the item count within it.
+          sh.heartbeat_ns.store(now_ns(), std::memory_order_relaxed);
+          fault::maybe_stall(si, sh.consumed);
+          fault::maybe_throw(si, sh.consumed);
+          const std::size_t n = ring.drain(buf.data(), buf.size());
+          if (n == 0) break;
+          // Consumed the moment it leaves the ring: a throw while applying
+          // it leaves recovery to replay (or count lost) this block too.
+          sh.consumed += n;
+          sh.since_publish += n;
+          sh.producer_offsets[p] += n;
+          got += n;
           {
             SHE_TRACE_SPAN("estimator.insert_batch", "estimator");
-            if constexpr (requires { sh.est.insert_batch(block); })
-              sh.est.insert_batch(block);  // pipelined hash-ahead + prefetch
-            else
-              for (std::size_t i = 0; i < n; ++i) sh.est.insert(buf[i]);
+            apply(sh.est, std::span<const std::uint64_t>(buf.data(), n));
           }
-          got += n;
-          sh.producer_offsets[p] += n;
+          sh.inserted->inc(n);
+          if (sh.since_publish >= opt_.publish_interval) publish(sh);
           if (n < buf.size()) break;  // ring (momentarily) empty; next ring
         }
       }
@@ -1170,11 +1202,7 @@ class IngestPipeline {
           obs::trace::record("pipeline.drain", "pipeline", sweep_ticks,
                              obs::trace::now_ticks(),
                              obs::trace::current_trace_id());
-        sh.inserted->inc(got);
         sh.drains->inc();
-        sh.consumed += got;
-        sh.since_publish += got;
-        if (sh.since_publish >= opt_.publish_interval) publish(sh);
         continue;
       }
       // Idle: surface whatever arrived since the last publish so readers
@@ -1205,135 +1233,14 @@ class IngestPipeline {
       write_checkpoint(sh);
   }
 
-  /// Supervisor: poll worker states, restart the dead, fence the wedged.
-  void supervisor_loop() {
-    std::vector<std::uint64_t> restart_count(opt_.shards, 0);
-    const std::int64_t heartbeat_timeout_ns =
-        static_cast<std::int64_t>(opt_.heartbeat_timeout_ms) * 1'000'000;
-    while (!stopping_.load(std::memory_order_acquire)) {
-      for (std::size_t s = 0; s < opt_.shards; ++s) {
-        Shard& sh = *shards_[s];
-        const WorkerState st = sh.state.load(std::memory_order_acquire);
-        const bool dead_by_fault = st == WorkerState::kFaulted;
-        const bool fenced_out = st == WorkerState::kExited &&
-                                sh.fence.load(std::memory_order_acquire);
-        if (dead_by_fault || fenced_out) {
-          if (restart_count[s] >= opt_.max_restarts) {
-            sh.state.store(WorkerState::kAbandoned,
-                           std::memory_order_release);
-            continue;
-          }
-          ++restart_count[s];
-          restart_shard(s, /*rollback=*/dead_by_fault);
-        } else if (st == WorkerState::kRunning &&
-                   !sh.fence.load(std::memory_order_acquire)) {
-          const std::int64_t hb =
-              sh.heartbeat_ns.load(std::memory_order_relaxed);
-          if (hb != 0 && now_ns() - hb > heartbeat_timeout_ns) {
-            // Wedged: ask the worker to hand its shard over at the next
-            // point it is responsive.  We cannot kill a thread; a worker
-            // that never wakes is only ever *counted* here.
-            sh.wedged->inc();
-            sh.fence.store(true, std::memory_order_release);
-          }
-        }
-      }
-      // Sleep in small slices so close() is never delayed.
-      auto remaining = std::chrono::milliseconds(opt_.supervisor_interval_ms);
-      while (remaining.count() > 0 &&
-             !stopping_.load(std::memory_order_acquire)) {
-        const auto slice = std::min(remaining, std::chrono::milliseconds(2));
-        std::this_thread::sleep_for(slice);
-        remaining -= slice;
-      }
-    }
-  }
-
-  /// Re-insert log items [consumed_at_publish, consumed) into the
-  /// freshly-rolled-back estimator; returns the offset healed up to.
-  /// Runs on the supervisor thread after the dead worker was joined, so
-  /// it owns sh.est; a concurrent producer may be appending past
-  /// `consumed`, but the range we read is already flushed to the file
-  /// (it was applied by the worker, so its append long since returned).
-  std::uint64_t wal_heal(Shard& sh) {
-    std::uint64_t pos = sh.consumed_at_publish;
-    if (pos >= sh.consumed) return sh.consumed;
-    WalScan scan;
-    try {
-      scan = read_wal(wal_path(sh.index));
-    } catch (const std::exception&) {
-      return pos;
-    }
-    for (const WalFrame& f : scan.frames) {
-      if (f.end_offset() <= pos) continue;
-      if (f.start_offset > pos) break;  // hole — caller accounts the rest
-      const std::vector<std::uint64_t> keys = f.keys();
-      const std::size_t lo = static_cast<std::size_t>(pos - f.start_offset);
-      const std::size_t hi = static_cast<std::size_t>(std::min<std::uint64_t>(
-          keys.size(), sh.consumed - f.start_offset));
-      const std::span<const std::uint64_t> part(keys.data() + lo, hi - lo);
-      if constexpr (requires { sh.est.insert_batch(part); })
-        sh.est.insert_batch(part);
-      else
-        for (std::uint64_t k : part) sh.est.insert(k);
-      sh.wal_replayed->inc(part.size());
-      pos = f.start_offset + hi;
-      if (pos >= sh.consumed) break;
-    }
-    return pos;
-  }
-
-  /// Join the dead worker, restore the shard (rolling back to the last
-  /// published snapshot after a fault — the live estimator may be
-  /// mid-batch garbage), account lost/replayed items, relaunch.  With the
-  /// WAL on, the rollback gap [consumed_at_publish, consumed) is healed
-  /// back from the log (every applied item was logged first), so nothing
-  /// is lost and the checkpoint offset keeps identifying a log prefix.
-  void restart_shard(std::size_t s, bool rollback) {
-    Shard& sh = *shards_[s];
-    if (workers_[s].joinable()) workers_[s].join();
-    std::uint64_t backlog = 0;
-    for (const auto& r : sh.rings) backlog += r->size_approx();
-    if (rollback) {
-      try {
-        std::vector<char> buf;
-        sh.snap->read(buf);
-        Estimator restored = deserialize<Estimator>(buf.data(), buf.size());
-        std::destroy_at(&sh.est);
-        std::construct_at(&sh.est, std::move(restored));
-      } catch (const std::exception&) {
-        // Published snapshots are always valid frames; if restoring one
-        // still fails the shard cannot be saved — abandon it.
-        sh.state.store(WorkerState::kAbandoned, std::memory_order_release);
-        return;
-      }
-      if (sh.wal != nullptr) {
-        const std::uint64_t healed = wal_heal(sh);
-        if (healed < sh.consumed) {
-          // A hole in the log below `consumed` (should be impossible:
-          // items are logged before they are applied).  The unhealable
-          // range is gone from the live estimator; account it like the
-          // no-WAL path would.
-          sh.lost->inc(sh.consumed - healed);
-        }
-      } else {
-        sh.lost->inc(sh.consumed - sh.consumed_at_publish);
-        sh.consumed = sh.consumed_at_publish;
-      }
-    }
-    sh.since_publish = 0;
-    sh.replayed->inc(backlog);
-    sh.restarts->inc();
-    sh.fence.store(false, std::memory_order_release);
-    sh.state.store(WorkerState::kIdle, std::memory_order_release);
-    workers_[s] = std::thread([this, s] { worker_entry(s); });
-  }
-
   /// Periodically refresh the queue-depth gauges (and high-water marks) so
   /// scrapes see backlog even when a worker is wedged inside a long drain,
-  /// and feed the windowed-rate view.
+  /// feed the windowed-rate view, and, when supervised, count each episode
+  /// of a live worker's heartbeat going stale as one wedge.
   void sampler_loop() {
     const auto interval = std::chrono::milliseconds(opt_.sample_interval_ms);
+    const std::int64_t heartbeat_timeout_ns =
+        static_cast<std::int64_t>(opt_.heartbeat_timeout_ms) * 1'000'000;
     while (!stopping_.load(std::memory_order_acquire)) {
       std::uint64_t inserted_total = 0;
       for (const auto& sh : shards_) {
@@ -1347,6 +1254,14 @@ class IngestPipeline {
         sh->queue_depth->set(static_cast<std::int64_t>(depth_total));
         sh->queue_hwm->max_of(static_cast<std::int64_t>(deepest));
         inserted_total += sh->inserted->value();
+        if (opt_.supervise) {
+          const std::int64_t hb =
+              sh->heartbeat_ns.load(std::memory_order_relaxed);
+          const bool stale = hb != 0 && !shard_dead(*sh) &&
+                             now_ns() - hb > heartbeat_timeout_ns;
+          if (stale && !sh->wedged_episode) sh->wedged->inc();
+          sh->wedged_episode = stale;
+        }
       }
       sample_rate(inserted_total);
       // Sleep in small slices so close() is never delayed by a long period.
@@ -1391,7 +1306,6 @@ class IngestPipeline {
   std::vector<std::unique_ptr<Shard>> shards_;
   std::vector<obs::Counter*> produced_;  ///< one per producer
   std::vector<std::thread> workers_;     ///< indexed by shard
-  std::thread supervisor_;
   std::thread sampler_;
   mutable std::mutex rate_mu_;
   mutable RateWindow rate_window_;

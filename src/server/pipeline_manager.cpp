@@ -56,10 +56,11 @@ double parse_f64(const std::string& key, const std::string& text) {
 PipelineSpec parse_sketch_spec(const std::string& text) {
   PipelineSpec spec;
   // Serving defaults: modest window, supervised workers (a long-running
-  // service must outlive one worker exception), one producer slot per
-  // likely-concurrent client batch.
+  // service must outlive one worker exception) with the sampler watching
+  // for wedged ones, one producer slot per likely-concurrent client batch.
   spec.pipeline.producers = 4;
   spec.pipeline.supervise = true;
+  spec.pipeline.sample_interval_ms = 5;
 
   std::istringstream is(text);
   std::string tok;

@@ -174,8 +174,8 @@ class ConcurrentMonitor {
     return pipe_.resume_offset(s);
   }
 
-  /// True while any shard worker is dead by exception (or abandoned) and
-  /// not yet restarted by the supervisor.
+  /// True once any shard worker died for good (see
+  /// IngestPipeline::faulted).
   [[nodiscard]] bool faulted() const { return pipe_.faulted(); }
 
   /// True while the pipeline is parked read-only after a disk fault

@@ -353,9 +353,10 @@ int cmd_pipeline(const ArgMap& args, std::ostream& out) {
   const std::string metrics_out = args.get("metrics-out", "");
   const std::string metrics_format = args.get("metrics-format", "prom");
   const std::string inject = args.get("inject", "");
-  // Queue-depth sampler: on by default when dumping metrics.
-  pcfg.sample_interval_ms =
-      args.get_u64("sample-ms", metrics_out.empty() ? 0 : 5);
+  // Queue-depth sampler (and, when supervised, wedge detection): on by
+  // default when supervised or dumping metrics.
+  pcfg.sample_interval_ms = args.get_u64(
+      "sample-ms", pcfg.supervise || !metrics_out.empty() ? 5 : 0);
   reject_unused(args);
 
   TelemetryScope telemetry(!metrics_out.empty());
@@ -886,10 +887,13 @@ std::string usage() {
       "               [--checkpoint-dir DIR] [--checkpoint-every N]\n"
       "               [--checkpoint-keep K] [--resume]\n"
       "               [--inject SPEC[,SPEC...]]\n"
-      "               (concurrent ingest, queries under load; supervised\n"
-      "               workers restart on faults; --checkpoint-dir writes\n"
-      "               CRC-framed durable checkpoints and --resume replays\n"
-      "               from them; SPEC = point[:shard[:at[:param]]] with\n"
+      "               (concurrent ingest, queries under load; a supervised\n"
+      "               worker that faults recovers in place from its last\n"
+      "               snapshot, one that stalls is counted wedged by the\n"
+      "               --sample-ms sampler, default 5 when supervised;\n"
+      "               --checkpoint-dir writes CRC-framed durable\n"
+      "               checkpoints and --resume replays from them;\n"
+      "               SPEC = point[:shard[:at[:param]]] with\n"
       "               point throw|stall|ckpt-bitflip|ckpt-truncate;\n"
       "               exit 1 when items were dropped, timed out, or a\n"
       "               worker faulted)\n"
