@@ -31,7 +31,6 @@ namespace {
 
 using runtime::IngestPipeline;
 using runtime::PipelineOptions;
-using runtime::SnapshotReader;
 
 constexpr std::uint64_t kN = kWindow;
 constexpr std::uint64_t kItems = 4'000'000;
@@ -75,15 +74,10 @@ RunResult run_once(const stream::Trace& trace, std::size_t producers,
   std::thread reader;
   if (with_reader) {
     reader = std::thread([&] {
-      std::vector<SnapshotReader<SheBloomFilter>> views;
-      views.reserve(shards);
-      for (std::size_t s = 0; s < shards; ++s)
-        views.emplace_back(pipe.snapshot_slot(s));
       std::uint64_t q = 0;
       while (!done.load(std::memory_order_acquire)) {
         for (std::size_t s = 0; s < shards; ++s) {
-          const SheBloomFilter& snap = views[s].get();
-          (void)snap.contains(0xFEEDu + q);
+          (void)pipe.published(s)->contains(0xFEEDu + q);
           ++q;
         }
       }
@@ -178,7 +172,7 @@ void accuracy_under_load(std::vector<std::string>& json_rows) {
           std::this_thread::yield();
         double est = 0;
         for (std::size_t s = 0; s < shards; ++s)
-          est += pipe.snapshot(s).cardinality();
+          est += pipe.published(s)->cardinality();
         err.add(relative_error(static_cast<double>(oracle.cardinality()), est));
         ++fed;
       }

@@ -8,8 +8,8 @@
 //     reports aggregate accepted items/s (the protocol + producer-slot
 //     cost on top of the raw pipeline numbers in BENCH_pipeline.json),
 //   * query latency — K clients issuing frequency queries against the
-//     seqlock snapshots while the pipeline holds a full window; reports
-//     per-request p50/p99 wall latency.
+//     published shard snapshots while the pipeline holds a full window;
+//     reports per-request p50/p99 wall latency.
 //
 // Each row is emitted as JSON and the whole run lands in
 // BENCH_server.json so CI can diff runs across hosts.

@@ -6,6 +6,8 @@
 namespace she {
 
 namespace {
+constexpr bool kLittleEndian = std::endian::native == std::endian::little;
+
 // The format is little-endian on disk; byteswap on big-endian hosts.
 template <typename T>
 T to_le(T v) {
@@ -41,14 +43,24 @@ void BinaryWriter::f64(double v) {
   u64(bits);
 }
 
+// Arrays go out in one write on little-endian hosts: the in-memory layout
+// already is the on-disk one.
 void BinaryWriter::u64_vector(const std::vector<std::uint64_t>& v) {
   u64(v.size());
-  for (std::uint64_t x : v) u64(x);
+  if constexpr (kLittleEndian) {
+    raw(v.data(), v.size() * 8);
+  } else {
+    for (std::uint64_t x : v) u64(x);
+  }
 }
 
 void BinaryWriter::u32_vector(const std::vector<std::uint32_t>& v) {
   u64(v.size());
-  for (std::uint32_t x : v) u32(x);
+  if constexpr (kLittleEndian) {
+    raw(v.data(), v.size() * 4);
+  } else {
+    for (std::uint32_t x : v) u32(x);
+  }
 }
 
 void BinaryReader::raw(void* p, std::size_t n) {
@@ -126,7 +138,11 @@ std::vector<std::uint64_t> BinaryReader::u64_vector() {
   std::uint64_t n = u64();
   check_length(n, 8);
   std::vector<std::uint64_t> v(n);
-  for (auto& x : v) x = u64();
+  if constexpr (kLittleEndian) {
+    raw(v.data(), v.size() * 8);
+  } else {
+    for (auto& x : v) x = u64();
+  }
   return v;
 }
 
@@ -134,7 +150,11 @@ std::vector<std::uint32_t> BinaryReader::u32_vector() {
   std::uint64_t n = u64();
   check_length(n, 4);
   std::vector<std::uint32_t> v(n);
-  for (auto& x : v) x = u32();
+  if constexpr (kLittleEndian) {
+    raw(v.data(), v.size() * 4);
+  } else {
+    for (auto& x : v) x = u32();
+  }
   return v;
 }
 

@@ -89,8 +89,8 @@ SpanRing::SpanRing(std::size_t capacity_pow2, std::uint32_t tid)
 void SpanRing::record(const Span& s) noexcept {
   const std::uint64_t h = head_.load(std::memory_order_relaxed);
   Slot& slot = slots_[h & (slots_.size() - 1)];
-  // Seqlock write: odd version while the payload is inconsistent
-  // (writer-side mirror of runtime::SeqlockSlot::publish).
+  // Seqlock write: odd version while the payload is inconsistent; the
+  // release fence orders it before the payload stores.
   const std::uint32_t v = slot.ver.load(std::memory_order_relaxed);
   slot.ver.store(v + 1, std::memory_order_relaxed);
   std::atomic_thread_fence(std::memory_order_release);

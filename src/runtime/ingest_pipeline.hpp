@@ -6,12 +6,14 @@
 // analogue.  N producer threads route keys by the same hash Sharded<T>
 // uses (so accuracy semantics carry over) into per-(producer, shard) SPSC
 // rings; each shard worker thread exclusively owns one estimator, drains
-// its rings in batches, and publishes a seqlock-versioned snapshot every
-// `publish_interval` items.  Producers never block on estimator state, and
-// queries run concurrently against the snapshots:
+// its rings in batches, and every `publish_interval` items publishes an
+// immutable copy of it: a std::shared_ptr<const Estimator> swapped in
+// under a per-shard mutex.  Producers never block on estimator state, and
+// queries run concurrently against the published copies, which stay alive
+// for as long as a reader holds them:
 //
 //   producer p ──ring[p][s]──▶ worker s ──owns──▶ Estimator s
-//                                   └─publishes──▶ SeqlockSlot s ◀─readers
+//                                   └─publishes──▶ const copy s ◀─readers
 //                                   └─checkpoints─▶ shard-s.ckpt (durable)
 //
 // Backpressure on a full ring is explicit: `Block` (spin-yield until
@@ -22,7 +24,7 @@
 //
 // Fault tolerance (docs/INTERNALS.md §10):
 //   * Durable checkpoints: with `checkpoint_dir` set, each worker writes
-//     its just-published snapshot into a CRC32-framed file (atomic
+//     the image of its just-published copy into a CRC32-framed file (atomic
 //     write-rename, common/checkpoint.hpp) every `checkpoint_interval`
 //     items and at close.  `resume = true` reloads those frames at
 //     construction — corrupted or truncated files are rejected with a
@@ -30,8 +32,8 @@
 //     per-shard stream offsets (`resume_offset()`) so a driver can skip
 //     the already-ingested per-shard prefix of its trace.
 //   * Supervision: with `supervise = true`, a worker that dies by exception
-//     recovers on its own thread: it restores the estimator from the
-//     shard's last published snapshot, replays the items applied since
+//     recovers on its own thread: it copies the shard's last published
+//     estimator back into the live one, replays the items applied since
 //     from the backlog log (or, without the log, counts them lost),
 //     counts the ring backlog replayed, and goes back to draining.  After
 //     `kMaxRestarts` recoveries the shard is dead and pushes to it fail
@@ -83,16 +85,18 @@
 // (PipelineOptions::sample_interval_ms) refreshes the queue-depth gauges
 // and the windowed rate during quiet periods.
 //
-// Estimator requirements: movable, `insert(uint64_t)`,
+// Estimator requirements: copyable, `insert(uint64_t)`,
 // `save(BinaryWriter&) const`, `static load(BinaryReader&)`.  Every SHE
 // estimator and StreamMonitor qualifies.  Estimators additionally exposing
 // `insert_batch(std::span<const uint64_t>)` (all of the above do) get the
-// hash-ahead + prefetch batch path on the worker drain.
+// hash-ahead + prefetch batch path on the worker drain.  Const queries on a
+// published copy may run on several reader threads at once, so they must
+// not write shared state without synchronization.
 //
 // Threading contract:
 //   * push(producer, key): producer `p`'s pushes must be serialized (one
 //     thread per producer index); different producers are independent.
-//   * snapshot()/stats()/shard_of()/metrics_registry()/faulted():
+//   * published()/snapshot()/stats()/shard_of()/metrics_registry()/faulted():
 //     any thread, any time.
 //   * start()/close(): one controlling thread; do not call push()
 //     concurrently with close() — join your producers first.  close() on
@@ -167,7 +171,6 @@ struct PipelineOptions {
   Backpressure policy = Backpressure::kBlock;
   std::size_t push_timeout_ms = 100;   ///< kBlockTimeout: give up after this
   std::uint64_t route_seed = 0x5ead5eedULL;  ///< Sharded's default
-  std::size_t snapshot_slack_bytes = 4096;   ///< slot headroom over 2x image
   std::size_t sample_interval_ms = 0;  ///< queue-depth sampler period; 0 = no
                                        ///< background sampler thread
 
@@ -224,7 +227,7 @@ class IngestPipeline {
         "wall time of one non-empty ring drain sweep, ns");
     publish_hist_ = &registry_.histogram(
         "she_pipeline_publish_latency_ns",
-        "serialize + seqlock publish of one shard snapshot, ns");
+        "copy + swap publish of one shard snapshot, ns");
     push_hist_ = &registry_.histogram(
         "she_pipeline_push_latency_ns",
         "producer push() wall time, 1-in-64 sampled while telemetry is "
@@ -252,7 +255,6 @@ class IngestPipeline {
         "WAL/checkpoint writes that failed with a disk-unhealthy errno");
     if (!opt_.checkpoint_dir.empty())
       std::filesystem::create_directories(opt_.checkpoint_dir);
-    std::vector<char> image;
     shards_.reserve(opt_.shards);
     for (std::size_t s = 0; s < opt_.shards; ++s) {
       std::optional<CheckpointData> ck;
@@ -336,10 +338,7 @@ class IngestPipeline {
         // until `checkpoint_keep` fresh generations have rotated them out.
         sh->ckpt_history.assign(opt_.checkpoint_keep, sh->last_checkpoint);
       }
-      serialize_to(image, sh->est);
-      sh->snap = std::make_unique<SeqlockSlot>(2 * image.size() +
-                                               opt_.snapshot_slack_bytes);
-      sh->snap->publish(image.data(), image.size());
+      sh->snap = std::make_shared<const Estimator>(sh->est);
       sh->rings.reserve(opt_.producers);
       for (std::size_t p = 0; p < opt_.producers; ++p)
         sh->rings.push_back(std::make_unique<SpscRing>(opt_.queue_capacity));
@@ -704,7 +703,7 @@ class IngestPipeline {
   }
 
   /// Drain-then-publish barrier: ask every live shard worker to finish
-  /// draining its rings, publish a fresh snapshot, and — with
+  /// draining its rings into a published snapshot, and — with
   /// `with_checkpoint` and a configured checkpoint_dir — write a durable
   /// frame, then wait for the acknowledgements.  This is what a serving
   /// front-end's FLUSH (make earlier accepted inserts visible to
@@ -749,17 +748,19 @@ class IngestPipeline {
     return ok;
   }
 
-  /// A private copy of shard `s`'s latest published estimator state.
-  /// Callable from any thread at any time.
-  [[nodiscard]] Estimator snapshot(std::size_t s) const {
-    std::vector<char> buf;
-    shards_[s]->snap->read(buf);
-    return deserialize<Estimator>(buf.data(), buf.size());
+  /// Shard `s`'s latest published estimator: an immutable copy that
+  /// stays valid, unchanged, for as long as the caller holds it, however
+  /// many publishes follow.  Callable from any thread at any time.
+  [[nodiscard]] std::shared_ptr<const Estimator> published(
+      std::size_t s) const {
+    const Shard& sh = *shards_[s];
+    std::lock_guard<std::mutex> lk(sh.snap_mu);
+    return sh.snap;
   }
 
-  /// The raw slot, for SnapshotReader-style cached readers.
-  [[nodiscard]] const SeqlockSlot& snapshot_slot(std::size_t s) const {
-    return *shards_[s]->snap;
+  /// A private, mutable copy of published(s).
+  [[nodiscard]] Estimator snapshot(std::size_t s) const {
+    return *published(s);
   }
 
   /// The pipeline's private metric registry (always on); export it with
@@ -822,9 +823,12 @@ class IngestPipeline {
     explicit Shard(Estimator e) : est(std::move(e)) {}
     Estimator est;  ///< worker-owned once start() runs
     std::size_t index = 0;
-    std::unique_ptr<SeqlockSlot> snap;
+    /// The last published copy of `est`.  Only the worker replaces it, so
+    /// the worker reads it without the lock; readers copy the pointer
+    /// under snap_mu.
+    std::shared_ptr<const Estimator> snap;
+    mutable std::mutex snap_mu;
     std::vector<std::unique_ptr<SpscRing>> rings;  ///< one per producer
-    std::vector<char> scratch;           ///< worker-only: last published image
     std::uint64_t since_publish = 0;     ///< worker-only
     std::uint64_t consumed = 0;          ///< worker-only: items applied
     std::uint64_t consumed_at_publish = 0;  ///< worker-only
@@ -957,8 +961,12 @@ class IngestPipeline {
   void publish(Shard& sh) {
     SHE_TRACE_SPAN("pipeline.publish", "pipeline");
     const std::int64_t t0 = now_ns();
-    serialize_to(sh.scratch, sh.est);
-    sh.snap->publish(sh.scratch.data(), sh.scratch.size());
+    auto fresh = std::make_shared<const Estimator>(sh.est);
+    {
+      std::lock_guard<std::mutex> lk(sh.snap_mu);
+      sh.snap.swap(fresh);
+    }
+    fresh.reset();  // the old copy, freed here unless a reader still holds it
     publish_hist_->observe(static_cast<std::uint64_t>(now_ns() - t0));
     sh.publishes->inc();
     sh.since_publish = 0;
@@ -968,19 +976,21 @@ class IngestPipeline {
       write_checkpoint(sh);
   }
 
-  /// Frame the just-published image (scratch) and atomically replace the
-  /// shard's checkpoint file.  Runs on the worker thread; the injection
-  /// hook may corrupt the frame on purpose.
+  /// Frame the image of the just-published copy and atomically replace
+  /// the shard's checkpoint file.  Runs on the worker thread; the
+  /// injection hook may corrupt the frame on purpose.
   void write_checkpoint(Shard& sh) {
     SHE_TRACE_SPAN("pipeline.checkpoint", "pipeline");
     if (degraded_.load(std::memory_order_acquire))
       return;  // disk is sick: keep the previous generation until recovery
     const std::int64_t t0 = now_ns();
+    std::vector<char> image;
+    serialize_to(image, *sh.snap);
     std::vector<char> frame = frame_checkpoint(
         sh.consumed_at_publish,
         std::span<const std::uint64_t>(sh.producer_offsets.data(),
                                        sh.producer_offsets.size()),
-        std::span<const char>(sh.scratch.data(), sh.scratch.size()));
+        std::span<const char>(image.data(), image.size()));
     fault::maybe_corrupt_frame(sh.index, sh.ckpt_ordinal, frame);
     try {
       if (fault::maybe_ckpt_eio(sh.index, sh.ckpt_ordinal))
@@ -1088,18 +1098,14 @@ class IngestPipeline {
   }
 
   /// In-place recovery on the worker thread.  The live estimator may be
-  /// mid-batch garbage, so restore the shard's last published snapshot,
-  /// then bring it back up to `consumed` from the log — or, without one,
-  /// count the rolled-back items lost and rewind.  The ring backlog the
-  /// worker re-drains next is counted replayed.
+  /// mid-batch garbage, so copy the shard's last published estimator back
+  /// into it, then bring it back up to `consumed` from the log — or,
+  /// without one, count the rolled-back items lost and rewind.  The ring
+  /// backlog the worker re-drains next is counted replayed.
   void recover(Shard& sh) {
     std::uint64_t backlog = 0;
     for (const auto& r : sh.rings) backlog += r->size_approx();
-    sh.snap->read(sh.scratch);
-    Estimator restored =
-        deserialize<Estimator>(sh.scratch.data(), sh.scratch.size());
-    std::destroy_at(&sh.est);
-    std::construct_at(&sh.est, std::move(restored));
+    sh.est = *sh.snap;
     if (sh.wal != nullptr) {
       // Every consumed item was logged before it was enqueued, and its
       // append has long returned, so the range is in the file.
@@ -1208,17 +1214,16 @@ class IngestPipeline {
       // Idle: surface whatever arrived since the last publish so readers
       // see a fresh snapshot even in quiet periods.
       if (sh.since_publish > 0) publish(sh);
-      // sync() barrier: rings are momentarily empty, so publish (filling
-      // scratch — the construction-time publish bypassed it) and ack.
+      // sync() barrier: rings are momentarily empty and the publish above
+      // covers every applied item, so ack.
       const std::uint64_t syncreq = sh.sync_req.load(std::memory_order_acquire);
       if (syncreq != sh.sync_ack.load(std::memory_order_relaxed)) {
         // The empty-rings observation above predates this acquire load, so
         // it may have missed pushes made just before the sync() call.  The
         // acquire makes those pushes visible; re-check and re-drain before
-        // acking, or the barrier publishes a snapshot missing items it
-        // promised to cover.
+        // acking, or the barrier acks a snapshot missing items it promised
+        // to cover.
         if (!rings_empty(sh)) continue;
-        publish(sh);
         if (sh.sync_ckpt.exchange(false, std::memory_order_acq_rel) &&
             !opt_.checkpoint_dir.empty())
           write_checkpoint(sh);

@@ -1,38 +1,19 @@
-// Seqlock-versioned estimator snapshots for queries under load.
+// Byte images of estimators, for everything that leaves the process.
 //
-// Estimators are single-writer objects with no internal atomics
-// (docs/INTERNALS.md §5), so a query may never touch an estimator a worker
-// is inserting into.  Instead each shard worker periodically *publishes* a
-// serialized image of its estimator (the same save()/load() byte format
-// used for checkpoints) into a SeqlockSlot, and readers reconstruct a
-// private copy from the latest consistent image:
-//
-//   writer:  seq -> odd,  release fence,  copy bytes,  seq -> even
-//   reader:  s1 = seq (even?),  copy bytes,  acquire fence,  s2 = seq,
-//            retry unless s1 == s2
-//
-// The payload is stored as relaxed std::atomic<uint64_t> words, which is
-// what makes the classic seqlock well-defined under the C++ memory model
-// (and clean under ThreadSanitizer): a torn read can only yield stale or
-// mixed *values*, which the sequence check discards — never undefined
-// behavior.  The slot's capacity is fixed at construction so readers can
-// size their copy without coordinating with the writer.
+// Queries never touch bytes: each shard worker publishes an immutable
+// std::shared_ptr<const Estimator> copy (IngestPipeline::published).
+// Checkpoints, `--resume` and standby bootstrap still move an estimator's
+// save()/load() image; serialize_to/deserialize are the in-memory ends of
+// that format.
 #pragma once
 
-#include <atomic>
 #include <cstddef>
-#include <cstdint>
-#include <cstring>
 #include <istream>
-#include <optional>
 #include <ostream>
-#include <stdexcept>
 #include <streambuf>
-#include <thread>
 #include <vector>
 
 #include "common/io.hpp"
-#include "runtime/ring_buffer.hpp"
 
 namespace she::runtime {
 
@@ -106,105 +87,5 @@ template <typename T>
   BinaryReader r(is);
   return T::load(r);
 }
-
-/// Single-writer seqlock over a fixed-capacity byte payload.
-class SeqlockSlot {
- public:
-  /// Capacity is fixed for the slot's lifetime (rounded up to whole
-  /// 64-bit words); publish() throws std::length_error beyond it.
-  explicit SeqlockSlot(std::size_t capacity_bytes)
-      : words_((capacity_bytes + 7) / 8) {
-    if (words_.empty()) words_ = std::vector<std::atomic<std::uint64_t>>(1);
-  }
-
-  [[nodiscard]] std::size_t capacity_bytes() const { return words_.size() * 8; }
-
-  /// Publish a new payload.  Single writer only.
-  void publish(const void* data, std::size_t bytes) {
-    if (bytes > capacity_bytes())
-      throw std::length_error("SeqlockSlot: payload exceeds fixed capacity");
-    const std::uint64_t s = seq_.load(std::memory_order_relaxed);
-    seq_.store(s + 1, std::memory_order_relaxed);  // odd: write in progress
-    std::atomic_thread_fence(std::memory_order_release);
-    bytes_.store(bytes, std::memory_order_relaxed);
-    const char* src = static_cast<const char*>(data);
-    const std::size_t nwords = (bytes + 7) / 8;
-    for (std::size_t i = 0; i < nwords; ++i) {
-      std::uint64_t w = 0;
-      const std::size_t nb = bytes - i * 8 < 8 ? bytes - i * 8 : 8;
-      std::memcpy(&w, src + i * 8, nb);
-      words_[i].store(w, std::memory_order_relaxed);
-    }
-    seq_.store(s + 2, std::memory_order_release);  // even: consistent
-  }
-
-  /// One read attempt; on success fills `out` and `version` (even) and
-  /// returns true.  False means the read raced a publish — retry.
-  bool try_read(std::vector<char>& out, std::uint64_t& version) const {
-    const std::uint64_t s1 = seq_.load(std::memory_order_acquire);
-    if (s1 & 1) return false;
-    const std::size_t bytes = bytes_.load(std::memory_order_relaxed);
-    if (bytes > capacity_bytes()) return false;  // torn size field
-    out.resize(bytes);
-    const std::size_t nwords = (bytes + 7) / 8;
-    for (std::size_t i = 0; i < nwords; ++i) {
-      const std::uint64_t w = words_[i].load(std::memory_order_relaxed);
-      const std::size_t nb = bytes - i * 8 < 8 ? bytes - i * 8 : 8;
-      std::memcpy(out.data() + i * 8, &w, nb);
-    }
-    std::atomic_thread_fence(std::memory_order_acquire);
-    if (seq_.load(std::memory_order_relaxed) != s1) return false;
-    version = s1;
-    return true;
-  }
-
-  /// Read, retrying until a consistent payload is obtained; returns its
-  /// version.  Writers publish in bounded time, so this terminates.
-  std::uint64_t read(std::vector<char>& out) const {
-    std::uint64_t version = 0;
-    for (std::size_t spins = 0; !try_read(out, version); ++spins)
-      if (spins >= 16) std::this_thread::yield();
-    return version;
-  }
-
-  /// Latest sequence value (odd while a publish is in flight).
-  [[nodiscard]] std::uint64_t version() const {
-    return seq_.load(std::memory_order_acquire);
-  }
-
- private:
-  alignas(kCacheLine) std::atomic<std::uint64_t> seq_{0};
-  std::atomic<std::size_t> bytes_{0};
-  std::vector<std::atomic<std::uint64_t>> words_;
-};
-
-/// Caching reader: deserializes a slot's payload into a T and only
-/// re-reads when the published version moves.  One instance per reader
-/// thread (not itself thread-safe).
-template <typename T>
-class SnapshotReader {
- public:
-  explicit SnapshotReader(const SeqlockSlot& slot) : slot_(&slot) {}
-
-  /// The latest consistent snapshot (refreshed on version change).
-  const T& get() {
-    if (!obj_ || slot_->version() != version_) refresh();
-    return *obj_;
-  }
-
-  /// Version of the currently cached snapshot.
-  [[nodiscard]] std::uint64_t version() const { return version_; }
-
- private:
-  void refresh() {
-    version_ = slot_->read(buf_);
-    obj_.emplace(deserialize<T>(buf_.data(), buf_.size()));
-  }
-
-  const SeqlockSlot* slot_;
-  std::uint64_t version_ = 0;
-  std::vector<char> buf_;
-  std::optional<T> obj_;
-};
 
 }  // namespace she::runtime

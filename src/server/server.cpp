@@ -23,7 +23,6 @@
 #include "common/checkpoint.hpp"
 #include "obs/export.hpp"
 #include "runtime/runtime_stats.hpp"
-#include "runtime/snapshot.hpp"
 #include "server/http.hpp"
 
 namespace she::server {
@@ -92,15 +91,6 @@ int listen_tcp(const std::string& host, std::uint16_t port,
   return fd;
 }
 
-/// Per-handler-thread cache of deserialized shard snapshots.  Per-key
-/// queries (membership, frequency) hit a handful of slots over and over,
-/// and a fresh StreamMonitor deserialize per request dominates query
-/// latency; SnapshotReader re-deserializes only when the published seqlock
-/// version moves.  Keyed by (entry id, shard) — entry ids are never
-/// reused, so a dropped pipeline's cached state can never answer for a
-/// successor with the same name.  The caller must hold the entry's
-/// shared_ptr for the duration of the call (keeps the slot alive); stale
-/// readers for dropped pipelines are never dereferenced, only evicted.
 /// Constant-time token equality: the comparison cost depends only on the
 /// candidate's length (which the peer chose and already knows), never on
 /// how many leading bytes match a stored token — no early exit, so
@@ -125,19 +115,6 @@ std::size_t match_token(const std::vector<std::string>& tokens,
   for (std::size_t t = 0; t < tokens.size(); ++t)
     if (token_eq_consttime(candidate, tokens[t]) && found == 0) found = t + 1;
   return found;
-}
-
-const StreamMonitor& cached_shard(const PipelineManager::Entry& entry,
-                                  std::size_t shard) {
-  using Reader = runtime::SnapshotReader<StreamMonitor>;
-  thread_local std::map<std::pair<std::uint64_t, std::size_t>, Reader> cache;
-  if (cache.size() > 64) cache.clear();  // bound churn from dropped pipelines
-  const auto key = std::make_pair(entry.id(), shard);
-  auto it = cache.find(key);
-  if (it == cache.end()) {
-    it = cache.emplace(key, Reader(entry.monitor().shard_slot(shard))).first;
-  }
-  return it->second.get();
 }
 
 }  // namespace
@@ -1085,15 +1062,15 @@ std::vector<char> SheServer::do_query(WireReader& req, OpInfo& info,
   const auto entry = manager_.find(name);
   if (!entry) return fail(Status::kNotFound, "no pipeline '" + name + "'");
   ConcurrentMonitor& mon = entry->monitor();
-  // Aggregate queries (cardinality, top-k) read every shard; the
-  // per-handler SnapshotReader cache skips deserialization for shards
-  // whose published version has not moved since this thread's last look.
+  // Each shard's published copy is taken once per request: a pointer copy,
+  // no bytes.  Per-key queries read the owning shard, aggregate queries
+  // (cardinality, top-k) every shard.
   const auto merged_report = [&](std::size_t top_k) {
     SHE_TRACE_SPAN("query.shard_merge", "server");
     std::vector<MonitorReport> parts;
     parts.reserve(mon.shard_count());
     for (std::size_t s = 0; s < mon.shard_count(); ++s) {
-      parts.push_back(cached_shard(*entry, s).report(top_k));
+      parts.push_back(mon.published_shard(s)->report(top_k));
     }
     return MonitorReport::combine(parts, top_k);
   };
@@ -1103,7 +1080,7 @@ std::vector<char> SheServer::do_query(WireReader& req, OpInfo& info,
       const std::uint64_t key = req.u64();
       req.expect_done();
       SHE_TRACE_SPAN("query.shard_read", "server");
-      const bool present = cached_shard(*entry, mon.shard_of(key)).seen(key);
+      const bool present = mon.published_shard(mon.shard_of(key))->seen(key);
       resp.u8(static_cast<std::uint8_t>(Status::kOk));
       resp.u8(present ? 1 : 0);
       break;
@@ -1113,7 +1090,7 @@ std::vector<char> SheServer::do_query(WireReader& req, OpInfo& info,
       req.expect_done();
       SHE_TRACE_SPAN("query.shard_read", "server");
       resp.u8(static_cast<std::uint8_t>(Status::kOk));
-      resp.u64(cached_shard(*entry, mon.shard_of(key)).frequency(key));
+      resp.u64(mon.published_shard(mon.shard_of(key))->frequency(key));
       break;
     }
     case QueryType::kCardinality: {

@@ -7,8 +7,9 @@
 //     process-wide SHE registry + server registry + every pipeline's
 //     registry labeled pipeline="<name>") and `GET /healthz`.
 //
-// Queries hit seqlock snapshots, so reads never block ingest; inserts go
-// through borrowed producer slots, so many clients feed one pipeline.
+// Queries read each shard's published immutable copy, so reads never block
+// ingest; inserts go through borrowed producer slots, so many clients feed
+// one pipeline.
 //
 // Shutdown discipline: request_stop() — also wired to SIGTERM/SIGINT via
 // install_signal_handlers(), and to the SHUTDOWN opcode — writes one byte

@@ -37,10 +37,14 @@ void HeavyHitters::maybe_admit(std::uint64_t key, std::uint64_t estimate) {
   }
   // Evict the weakest stored candidate if the newcomer beats it.  Stored
   // values may lag by up to one refresh period, which only makes eviction
-  // conservative.
+  // conservative.  Ties go to the smallest key, so the victim depends on
+  // the table's contents, never on its hash-map iteration order — a copy
+  // or a load() evolves exactly like the original.
   auto weakest = candidates_.begin();
   for (auto cand = candidates_.begin(); cand != candidates_.end(); ++cand)
-    if (cand->second < weakest->second) weakest = cand;
+    if (cand->second < weakest->second ||
+        (cand->second == weakest->second && cand->first < weakest->first))
+      weakest = cand;
   if (estimate > weakest->second) {
     candidates_.erase(weakest);
     candidates_.emplace(key, estimate);
@@ -76,7 +80,9 @@ void HeavyHitters::restore_candidates(const std::vector<Entry>& entries) {
     if (candidates_.size() >= capacity_) break;
     candidates_.emplace(e.key, e.estimate);
   }
-  since_refresh_ = 0;
+  // Refreshes fall every `capacity_` inserts counted from time 0; keep
+  // that phase, or a resumed table refreshes at different points.
+  since_refresh_ = static_cast<std::size_t>(sketch_.time() % capacity_);
 }
 
 void HeavyHitters::clear() {

@@ -60,7 +60,9 @@ class HeavyHitters {
   [[nodiscard]] std::vector<Entry> candidates() const;
 
   /// Re-seed the candidate table after restore_sketch (entries beyond
-  /// capacity are ignored), so top() answers survive a checkpoint.
+  /// capacity are ignored), so top() answers survive a checkpoint; the
+  /// refresh phase follows the sketch's clock, so a restored table
+  /// evolves byte-identically to the one that was saved.
   void restore_candidates(const std::vector<Entry>& entries);
 
   [[nodiscard]] std::uint64_t time() const { return sketch_.time(); }

@@ -199,11 +199,11 @@ ConcurrentMonitor::ConcurrentMonitor(const MonitorConfig& monitor,
       }) {}
 
 bool ConcurrentMonitor::seen(std::uint64_t key) const {
-  return pipe_.snapshot(pipe_.shard_of(key)).seen(key);
+  return pipe_.published(pipe_.shard_of(key))->seen(key);
 }
 
 std::uint64_t ConcurrentMonitor::frequency(std::uint64_t key) const {
-  return pipe_.snapshot(pipe_.shard_of(key)).frequency(key);
+  return pipe_.published(pipe_.shard_of(key))->frequency(key);
 }
 
 MonitorReport MonitorReport::combine(std::span<const MonitorReport> parts,
@@ -233,7 +233,7 @@ MonitorReport ConcurrentMonitor::report(std::size_t top_k) const {
   std::vector<MonitorReport> parts;
   parts.reserve(pipe_.shard_count());
   for (std::size_t s = 0; s < pipe_.shard_count(); ++s)
-    parts.push_back(pipe_.snapshot(s).report(top_k));
+    parts.push_back(pipe_.published(s)->report(top_k));
   return MonitorReport::combine(parts, top_k);
 }
 
@@ -243,11 +243,8 @@ double ConcurrentMonitor::jaccard(const ConcurrentMonitor& a,
     throw std::invalid_argument(
         "ConcurrentMonitor::jaccard: shard counts differ");
   double sum = 0;
-  for (std::size_t s = 0; s < a.shard_count(); ++s) {
-    StreamMonitor sa = a.shard_snapshot(s);
-    StreamMonitor sb = b.shard_snapshot(s);
-    sum += StreamMonitor::jaccard(sa, sb);
-  }
+  for (std::size_t s = 0; s < a.shard_count(); ++s)
+    sum += StreamMonitor::jaccard(*a.published_shard(s), *b.published_shard(s));
   return sum / static_cast<double>(a.shard_count());
 }
 
@@ -279,7 +276,7 @@ void StreamMonitor::save(BinaryWriter& out) const {
   out.u64(time_);
   // Sub-sketches in a fixed order; HeavyHitters persists its sketch plus
   // the candidate table so top() answers survive a restore (load-bearing
-  // for ConcurrentMonitor, whose queries only ever see checkpoints).
+  // for a resumed ConcurrentMonitor, whose top-k starts from checkpoints).
   if (membership_) membership_->save(out);
   if (card_bm_) card_bm_->save(out);
   if (card_hll_) card_hll_->save(out);

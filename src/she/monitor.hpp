@@ -9,6 +9,7 @@
 #pragma once
 
 #include <cstdint>
+#include <memory>
 #include <optional>
 #include <span>
 #include <vector>
@@ -50,9 +51,8 @@ struct MonitorReport {
   /// Merge per-shard reports into one window view: items and cardinality
   /// sum (shards partition the key space), top lists concatenate, re-sort
   /// and truncate to `top_k`.  This is the merge ConcurrentMonitor::report
-  /// performs — exposed so callers holding cached per-shard snapshots
-  /// (the she_server query path) can combine them without fresh
-  /// deserialization.
+  /// performs — exposed so callers holding per-shard snapshots (the
+  /// she_server query path) can combine them.
   [[nodiscard]] static MonitorReport combine(
       std::span<const MonitorReport> parts, std::size_t top_k);
 };
@@ -116,11 +116,12 @@ class StreamMonitor {
 /// (window and budget split evenly, same key routing as Sharded<T>), feeds
 /// them from `pipeline.producers` threads through lock-free rings, and
 /// answers queries *while the stream is being ingested* from the shards'
-/// seqlock-published snapshots: membership and frequency go to the owning
-/// shard, cardinality sums across shards, top-k merges (shard key spaces
-/// are disjoint).  Queries are safe from any thread at any time; push()
-/// follows the IngestPipeline threading contract (one thread per producer
-/// index, join producers before close()).
+/// published copies (IngestPipeline::published — a pointer copy per shard,
+/// no bytes): membership and frequency go to the owning shard, cardinality
+/// sums across shards, top-k merges (shard key spaces are disjoint).
+/// Queries are safe from any thread at any time; push() follows the
+/// IngestPipeline threading contract (one thread per producer index, join
+/// producers before close()).
 class ConcurrentMonitor {
  public:
   ConcurrentMonitor(const MonitorConfig& monitor,
@@ -197,14 +198,11 @@ class ConcurrentMonitor {
   [[nodiscard]] static double jaccard(const ConcurrentMonitor& a,
                                       const ConcurrentMonitor& b);
 
-  /// Owning-shard snapshot for batching several queries against one read.
-  [[nodiscard]] StreamMonitor shard_snapshot(std::size_t s) const {
-    return pipe_.snapshot(s);
-  }
-  /// Shard `s`'s raw seqlock slot, for runtime::SnapshotReader-style
-  /// cached readers that only re-deserialize when the version moves.
-  [[nodiscard]] const runtime::SeqlockSlot& shard_slot(std::size_t s) const {
-    return pipe_.snapshot_slot(s);
+  /// Shard `s`'s latest published monitor, immutable while held: take it
+  /// once to answer several queries against one consistent state.
+  [[nodiscard]] std::shared_ptr<const StreamMonitor> published_shard(
+      std::size_t s) const {
+    return pipe_.published(s);
   }
   [[nodiscard]] std::size_t shard_of(std::uint64_t key) const {
     return pipe_.shard_of(key);

@@ -9,7 +9,8 @@ constexpr std::uint64_t kNone = std::numeric_limits<std::uint64_t>::max();
 std::uint64_t SheCountMin::settle(std::uint64_t best_mature,
                                   std::uint64_t best_any, bool track) const {
   if (best_mature != kNone) return best_mature;
-  ++all_young_;  // every probe young: best-effort answer, may underestimate
+  // Every probe young: best-effort answer, may underestimate.
+  all_young_.n.fetch_add(1, std::memory_order_relaxed);
   if (track) obs::she_metrics().cm_all_young_queries.inc();
   return best_any;
 }

@@ -11,6 +11,7 @@
 #pragma once
 
 #include <algorithm>
+#include <atomic>
 #include <cstdint>
 #include <limits>
 #include <span>
@@ -65,13 +66,15 @@ class SheCountMin : public SheEngine<CountMinPolicy> {
   /// Reset to the empty state at time 0 (and the all-young counter).
   void clear() {
     SheEngine::clear();
-    all_young_ = 0;
+    all_young_.n.store(0, std::memory_order_relaxed);
   }
 
   [[nodiscard]] unsigned hash_count() const { return k_; }
 
   /// Queries so far whose probes were all young (fallback path taken).
-  [[nodiscard]] std::uint64_t all_young_queries() const { return all_young_; }
+  [[nodiscard]] std::uint64_t all_young_queries() const {
+    return all_young_.n.load(std::memory_order_relaxed);
+  }
 
   /// load() resumes with identical answers (the all-young diagnostic
   /// counter restarts at 0).
@@ -83,7 +86,18 @@ class SheCountMin : public SheEngine<CountMinPolicy> {
   std::uint64_t settle(std::uint64_t best_mature, std::uint64_t best_any,
                        bool track) const;
 
-  mutable std::uint64_t all_young_ = 0;
+  /// Bumped by const queries, which may run on several threads against
+  /// one published copy: a relaxed atomic that copies by value.
+  struct Count {
+    mutable std::atomic<std::uint64_t> n{0};
+    Count() = default;
+    Count(const Count& o) : n(o.n.load(std::memory_order_relaxed)) {}
+    Count& operator=(const Count& o) {
+      n.store(o.n.load(std::memory_order_relaxed), std::memory_order_relaxed);
+      return *this;
+    }
+  };
+  Count all_young_;
 };
 
 }  // namespace she

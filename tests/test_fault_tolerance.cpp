@@ -22,6 +22,7 @@
 #include "obs/metrics.hpp"
 #include "runtime/fault_injection.hpp"
 #include "runtime/ingest_pipeline.hpp"
+#include "she/monitor.hpp"
 #include "she/sharded.hpp"
 #include "she/she.hpp"
 #include "stream/trace.hpp"
@@ -833,6 +834,22 @@ TEST_F(FaultTolerance, WalCrashReplayByteIdenticalSheHyperLogLog) {
       2, "hll");
 }
 
+TEST_F(FaultTolerance, WalCrashReplayByteIdenticalStreamMonitor) {
+  // A small budget keeps the heavy-hitter table evicting, and the crash
+  // falls between two candidate refreshes: the resumed monitor must keep
+  // the refresh phase to match the unfaulted one byte for byte.
+  wal_crash_replay_byte_identical<StreamMonitor>(
+      [](std::size_t s) {
+        MonitorConfig m;
+        m.window = 8192;
+        m.memory_bytes = 1 << 13;
+        m.heavy_hitter_slots = 16;
+        m.seed = static_cast<std::uint32_t>(s);
+        return StreamMonitor(m);
+      },
+      2, "monitor");
+}
+
 TEST_F(FaultTolerance, WalCrashReplayByteIdenticalSheMinHash) {
   wal_crash_replay_byte_identical<SheMinHash>(
       [](std::size_t s) {
@@ -1277,9 +1294,9 @@ TEST(FaultToleranceConcurrency, DropNewestMultiProducerExactAccounting) {
 }
 
 TEST(FaultToleranceConcurrency, ReadersNeverSeeTornSnapshotsOrBadFrames) {
-  // A SnapshotReader and a checkpoint-file reader race the worker while it
-  // publishes and checkpoints at a high cadence.  The seqlock must never
-  // yield a torn (unloadable or time-regressing) snapshot, and the atomic
+  // A snapshot reader and a checkpoint-file reader race the worker while
+  // it publishes and checkpoints at a high cadence.  A published copy must
+  // never be torn (unserializable or time-regressing), and the atomic
   // write-rename must never expose a torn frame: every read is either
   // "no file yet" or a fully valid checkpoint with monotone offsets.
   const std::string dir = temp_dir("torn_race");
@@ -1299,11 +1316,12 @@ TEST(FaultToleranceConcurrency, ReadersNeverSeeTornSnapshotsOrBadFrames) {
   std::atomic<std::uint64_t> snapshot_reads{0};
   std::atomic<std::uint64_t> frame_reads{0};
   std::thread snap_reader([&] {
-    SnapshotReader<SheBloomFilter> reader(pipe.snapshot_slot(0));
     std::uint64_t last_time = 0;
     while (!stop.load(std::memory_order_acquire)) {
       try {
-        const SheBloomFilter& bf = reader.get();  // throws on a torn image
+        const auto held = pipe.published(0);
+        const SheBloomFilter& bf = *held;
+        (void)serialized(bf);  // a torn copy would not serialize cleanly
         if (bf.time() < last_time) {
           ADD_FAILURE() << "snapshot time went backwards: " << bf.time()
                         << " after " << last_time;

@@ -72,6 +72,22 @@ std::uint64_t produced_of(SheClient& c, const std::string& name) {
   return std::stoull(s.substr(pos + 11));
 }
 
+/// Poll until the standby has subscribed and finished its bootstrap, so
+/// every later CREATE and insert streams to it live.  wait_caught_up's
+/// `produced` comparison needs that ordering: a pipeline the standby
+/// bootstraps from files never passes through its `produced` counter
+/// (see wait_has_pipeline).
+void wait_synced(SheServer& standby, std::uint64_t timeout_ms = 20000) {
+  const auto deadline = std::chrono::steady_clock::now() +
+                        std::chrono::milliseconds(timeout_ms);
+  while (standby.render_healthz().find("\"synced\":true") ==
+         std::string::npos) {
+    ASSERT_LT(std::chrono::steady_clock::now(), deadline)
+        << "standby never finished its bootstrap";
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  }
+}
+
 /// Poll until the standby's accepted-item counters match the primary's
 /// for every named pipeline (kNotFound while a CREATE is still in flight
 /// counts as "not yet").
@@ -206,6 +222,7 @@ TEST(Replication, FailoverAnswersByteIdenticalToUnfaultedRun) {
   const std::uint16_t prim_port = prim->server.port();
   LiveServer stby(standby_options(temp_dir("repl_stby"), prim_port));
   EXPECT_TRUE(stby.server.standby());
+  wait_synced(stby.server);
 
   ClientOptions copt;
   copt.max_retries = 10;
@@ -257,6 +274,7 @@ TEST(Replication, StandbyServesReadsShedsWritesTyped) {
   LiveServer prim(base_options(temp_dir("repl_ro_prim")));
   LiveServer stby(
       standby_options(temp_dir("repl_ro_stby"), prim.server.port()));
+  wait_synced(stby.server);
 
   SheClient pc = prim.client();
   pc.create("ro", "window=1024 shards=1 wal=async");
@@ -341,6 +359,7 @@ TEST(Replication, DropAndLateCreateReplicate) {
   LiveServer prim(base_options(temp_dir("repl_ddl_prim")));
   LiveServer stby(
       standby_options(temp_dir("repl_ddl_stby"), prim.server.port()));
+  wait_synced(stby.server);
   SheClient pc = prim.client();
 
   pc.create("first", "window=512 shards=1 wal=async");

@@ -4,7 +4,8 @@
 // so the instrumented run stays fast).
 //
 //   * SpscRing: FIFO order and wraparound, plus a cross-thread stress.
-//   * SeqlockSlot: readers never observe a torn payload.
+//   * Published snapshots: a held copy never changes, and released
+//     copies are freed.
 //   * IngestPipeline: single-producer drains are bit-identical to
 //     sequential routing; DropNewest counts rejected pushes; Block loses
 //     nothing; queries under load stay consistent.
@@ -78,67 +79,6 @@ TEST(SpscRing, CrossThreadStressKeepsSequence) {
     if (n == 0) std::this_thread::yield();
   }
   producer.join();
-}
-
-// ----------------------------- SeqlockSlot ---------------------------------
-
-TEST(SeqlockSlot, PublishReadRoundTrip) {
-  SeqlockSlot slot(64);
-  const char payload[] = "sliding windows";
-  slot.publish(payload, sizeof(payload));
-  std::vector<char> out;
-  std::uint64_t version = slot.read(out);
-  EXPECT_EQ(version, 2u);
-  ASSERT_EQ(out.size(), sizeof(payload));
-  EXPECT_EQ(std::memcmp(out.data(), payload, sizeof(payload)), 0);
-}
-
-TEST(SeqlockSlot, RejectsOversizedPayload) {
-  SeqlockSlot slot(16);
-  std::vector<char> big(64, 'x');
-  EXPECT_THROW(slot.publish(big.data(), big.size()), std::length_error);
-}
-
-TEST(SeqlockSlot, ReadersNeverSeeTornPayload) {
-  // Writer publishes payloads whose every word equals the round number;
-  // a torn read would mix words from different rounds.
-  constexpr std::size_t kWords = 128;
-  constexpr std::uint64_t kMinReads = 500;
-  constexpr std::uint64_t kMaxRounds = 5'000'000;  // overlap-or-bust backstop
-  SeqlockSlot slot(kWords * 8);
-  std::vector<std::uint64_t> payload(kWords, 0);
-  slot.publish(payload.data(), kWords * 8);
-
-  std::atomic<bool> stop{false};
-  std::atomic<std::uint64_t> reads{0};
-  std::thread reader([&] {
-    std::vector<char> buf;
-    while (!stop.load(std::memory_order_acquire)) {
-      slot.read(buf);
-      ASSERT_EQ(buf.size(), kWords * 8);
-      std::uint64_t first;
-      std::memcpy(&first, buf.data(), 8);
-      for (std::size_t w = 1; w < kWords; ++w) {
-        std::uint64_t v;
-        std::memcpy(&v, buf.data() + w * 8, 8);
-        ASSERT_EQ(v, first) << "torn read at word " << w;
-      }
-      reads.fetch_add(1, std::memory_order_relaxed);
-    }
-  });
-  // Keep publishing until the reader has completed a healthy number of
-  // reads concurrently with us (on a single core this needs the yield to
-  // interleave the two threads at all).
-  for (std::uint64_t round = 1;
-       reads.load(std::memory_order_relaxed) < kMinReads && round <= kMaxRounds;
-       ++round) {
-    std::fill(payload.begin(), payload.end(), round);
-    slot.publish(payload.data(), kWords * 8);
-    if (round % 64 == 0) std::this_thread::yield();
-  }
-  stop.store(true, std::memory_order_release);
-  reader.join();
-  EXPECT_GE(reads.load(), kMinReads);
 }
 
 // ---------------------------- IngestPipeline -------------------------------
@@ -243,7 +183,7 @@ TEST(IngestPipeline, BatchedDrainMatchesSequentialUnderConcurrentReads) {
   // (which fans out to the estimators' pipelined insert_batch).  With one
   // producer the per-shard arrival order is deterministic, so the drained
   // state must serialize byte-identically to scalar routing — while a
-  // reader thread hammers the seqlock snapshots mid-ingest (the surface
+  // reader thread hammers the published snapshots mid-ingest (the surface
   // `ctest -L tsan` sweeps) and the tiny Block-policy rings force
   // backpressure so the stall counters are exercised.
   constexpr std::uint64_t kWindow = 1 << 14;
@@ -362,11 +302,10 @@ TEST(IngestPipeline, BlockPolicyLosesNothingThroughTinyQueues) {
 }
 
 TEST(IngestPipeline, QueriesUnderLoadNeverSeeTornEstimator) {
-  // Readers continuously deserialize snapshots while two producers ingest.
-  // A torn or stale-mixed image would fail deserialization (tag/shape
-  // checks) or break SHE-BF's invariants; we assert clock monotonicity and
-  // the no-false-negative guarantee for a key that is always deep in every
-  // shard window.
+  // Readers continuously take published snapshots while two producers
+  // ingest.  A torn or stale-mixed copy would break SHE-BF's invariants;
+  // we assert clock monotonicity and the no-false-negative guarantee for a
+  // key that is always deep in every shard window.
   constexpr std::uint64_t kWindow = 1 << 14;
   constexpr std::size_t kShards = 2;
   constexpr std::uint64_t kHot = 0xB00F;
@@ -382,14 +321,12 @@ TEST(IngestPipeline, QueriesUnderLoadNeverSeeTornEstimator) {
 
   std::atomic<bool> done{false};
   std::thread reader([&] {
-    SnapshotReader<SheBloomFilter> views[kShards] = {
-        SnapshotReader<SheBloomFilter>(pipe.snapshot_slot(0)),
-        SnapshotReader<SheBloomFilter>(pipe.snapshot_slot(1))};
     std::uint64_t last_time[kShards] = {0, 0};
     const std::size_t hot_shard = pipe.shard_of(kHot);
     while (!done.load(std::memory_order_acquire)) {
       for (std::size_t s = 0; s < kShards; ++s) {
-        const SheBloomFilter& snap = views[s].get();
+        const auto held = pipe.published(s);
+        const SheBloomFilter& snap = *held;
         ASSERT_GE(snap.time(), last_time[s]) << "clock went backwards";
         last_time[s] = snap.time();
         // kHot arrives every ~8 global items, so once the hot shard has
@@ -415,6 +352,122 @@ TEST(IngestPipeline, QueriesUnderLoadNeverSeeTornEstimator) {
   reader.join();
   pipe.close();
   EXPECT_EQ(pipe.stats().inserted, kItems);
+}
+
+template <typename Estimator>
+std::string serialized(const Estimator& est) {
+  std::stringstream ss;
+  BinaryWriter w(ss);
+  est.save(w);
+  return ss.str();
+}
+
+TEST(IngestPipeline, HeldSnapshotsStayUnchangedAcrossPublishes) {
+  // Readers hold published() copies while the worker publishes at least
+  // kMinPublishes newer ones.  A held copy is immutable: its save() bytes
+  // when released equal its bytes when taken.  Both readers also query
+  // the copies they share, which must be race-free under tsan.
+  constexpr std::size_t kReaders = 2;
+  constexpr std::uint64_t kMinPublishes = 100;
+  constexpr std::uint64_t kRounds = 3;  // per reader
+  PipelineOptions opt;
+  opt.shards = 1;
+  opt.producers = 1;
+  opt.queue_capacity = 256;
+  opt.publish_interval = 64;
+  IngestPipeline<StreamMonitor> pipe(opt, [](std::size_t) {
+    MonitorConfig m;
+    m.window = 4096;
+    m.memory_bytes = 1 << 15;
+    m.heavy_hitter_slots = 8;
+    return StreamMonitor(m);
+  });
+  pipe.start();
+
+  std::atomic<std::uint64_t> done_rounds{0};
+  std::vector<std::thread> readers;
+  for (std::size_t r = 0; r < kReaders; ++r) {
+    readers.emplace_back([&] {
+      for (std::uint64_t round = 0; round < kRounds; ++round) {
+        const std::shared_ptr<const StreamMonitor> held = pipe.published(0);
+        const std::string taken = serialized(*held);
+        const std::uint64_t base = pipe.stats().publishes;
+        while (pipe.stats().publishes < base + kMinPublishes) {
+          (void)held->seen(42);
+          (void)held->frequency(42);
+          (void)held->report(4);
+          std::this_thread::yield();
+        }
+        EXPECT_EQ(serialized(*held), taken) << "a held snapshot changed";
+        done_rounds.fetch_add(1, std::memory_order_relaxed);
+      }
+    });
+  }
+  std::vector<std::uint64_t> chunk(1024);
+  for (std::uint64_t next = 0;
+       done_rounds.load(std::memory_order_relaxed) < kReaders * kRounds;) {
+    for (auto& k : chunk) k = next++ % 5000;
+    ASSERT_EQ(pipe.push_bulk(0, chunk), chunk.size());
+  }
+  for (auto& t : readers) t.join();
+  pipe.close();
+}
+
+/// SHE-BF that counts its live instances.
+struct CountedBloom {
+  static inline std::atomic<std::int64_t> live{0};
+  SheBloomFilter bf;
+
+  explicit CountedBloom(SheBloomFilter b) : bf(std::move(b)) { ++live; }
+  CountedBloom(const CountedBloom& o) : bf(o.bf) { ++live; }
+  CountedBloom(CountedBloom&& o) noexcept : bf(std::move(o.bf)) { ++live; }
+  CountedBloom& operator=(const CountedBloom&) = default;
+  CountedBloom& operator=(CountedBloom&&) = default;
+  ~CountedBloom() { --live; }
+  void insert(std::uint64_t key) { bf.insert(key); }
+  void insert_batch(std::span<const std::uint64_t> keys) {
+    bf.insert_batch(keys);
+  }
+  void save(BinaryWriter& w) const { bf.save(w); }
+  static CountedBloom load(BinaryReader& r) {
+    return CountedBloom(SheBloomFilter::load(r));
+  }
+};
+
+TEST(IngestPipeline, ReleasedSnapshotsAreFreed) {
+  // Each shard keeps its live estimator and its last published copy;
+  // every older copy lives only while a reader holds it.  So at a quiet
+  // point (after sync) the live count is at most held + 2 per shard, and
+  // exactly 2 per shard once the readers let go.
+  constexpr std::size_t kShards = 2;
+  PipelineOptions opt;
+  opt.shards = kShards;
+  opt.producers = 1;
+  opt.publish_interval = 256;
+  const auto bloom = bf_factory(kShards, 1 << 14);
+  {
+    IngestPipeline<CountedBloom> pipe(
+        opt, [&](std::size_t s) { return CountedBloom(bloom(s)); });
+    pipe.start();
+    const auto trace = stream::distinct_trace(40'000, 17);
+    std::vector<std::shared_ptr<const CountedBloom>> held;
+    for (std::size_t i = 0; i < trace.size(); i += 4000) {
+      ASSERT_EQ(pipe.push_bulk(0, std::span<const std::uint64_t>(
+                                      trace.data() + i, 4000)),
+                4000u);
+      ASSERT_TRUE(pipe.sync(/*with_checkpoint=*/false));
+      EXPECT_LE(CountedBloom::live.load(),
+                static_cast<std::int64_t>(held.size() + 2 * kShards));
+      held.push_back(pipe.published(i / 4000 % kShards));
+    }
+    EXPECT_GT(pipe.stats().publishes, held.size());
+    const auto two_per_shard = static_cast<std::int64_t>(2 * kShards);
+    held.clear();
+    EXPECT_EQ(CountedBloom::live.load(), two_per_shard);
+    pipe.close();
+    EXPECT_EQ(CountedBloom::live.load(), two_per_shard);
+  }
+  EXPECT_EQ(CountedBloom::live.load(), 0);
 }
 
 // --------------------------- ConcurrentMonitor -----------------------------
